@@ -46,7 +46,7 @@ fn main() {
 
         let quantum = annealer();
         let t0 = Instant::now();
-        let q = quantum.solve(&constraint).expect("encodes");
+        let q = quantum.solve(&constraint).expect("encodes").0;
         let t_q = t0.elapsed();
         let q_tag = if q.valid { "" } else { " (invalid!)" };
 
@@ -85,7 +85,7 @@ fn main() {
 
         let quantum = annealer();
         let t0 = Instant::now();
-        let q = quantum.solve(&constraint).expect("encodes");
+        let q = quantum.solve(&constraint).expect("encodes").0;
         let t_q = t0.elapsed();
 
         let pruned = ClassicalSolver::new();

@@ -38,7 +38,7 @@ fn main() {
     // Row 2: palindrome of length 6.
     {
         let c = Constraint::Palindrome { len: 6 };
-        let out = solver.solve(&c).expect("row 2 encodes");
+        let out = solver.solve(&c).expect("row 2 encodes").0;
         row(
             "Generate a palindrome with length 6",
             &c,
@@ -53,7 +53,7 @@ fn main() {
             pattern: "a[bc]+".into(),
             len: 5,
         };
-        let out = solver.solve(&c).expect("row 3 encodes");
+        let out = solver.solve(&c).expect("row 3 encodes").0;
         row(
             "Generate the regex a[bc]+ with length 5",
             &c,
@@ -92,7 +92,7 @@ fn main() {
             index: 2,
             len: 6,
         };
-        let out = solver.solve(&c).expect("row 5 encodes");
+        let out = solver.solve(&c).expect("row 5 encodes").0;
         row(
             "Generate a string of length 6 that contains the substring 'hi' at index 2",
             &c,

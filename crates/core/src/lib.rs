@@ -34,7 +34,7 @@
 //! use qsmt_core::{Constraint, StringSolver};
 //!
 //! let solver = StringSolver::with_defaults().with_seed(1);
-//! let out = solver
+//! let (out, _report) = solver
 //!     .solve(&Constraint::Regex { pattern: "a[bc]+".into(), len: 5 })
 //!     .unwrap();
 //! assert!(out.valid);
@@ -62,8 +62,8 @@ pub use ops::BiasProfile;
 pub use pipeline::{Pipeline, PipelineReport, StageReport, Start, Step};
 pub use portfolio::{
     describe_metrics as describe_portfolio_metrics, member_seed, ClassicalHook, MemberKind,
-    PlanMember, Portfolio, PortfolioOutcome, PortfolioPlan, Router, RoutingFeatures, ScriptFacts,
+    PlanMember, Portfolio, PortfolioPlan, Router, RoutingFeatures, ScriptFacts,
 };
 pub use problem::{DecodeScheme, EncodedProblem, Solution};
 pub use qsmt_lint::{LintConfig, LintReport};
-pub use solver::{SolveOutcome, SolveTrace, StringSolver, TraceStage};
+pub use solver::{SolveOutcome, StringSolver};

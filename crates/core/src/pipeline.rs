@@ -10,6 +10,7 @@
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
 use crate::solver::{SolveOutcome, StringSolver};
+use qsmt_telemetry::SolveReport;
 
 /// Where the pipeline's initial string comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +89,7 @@ impl Step {
 ///     .unwrap();
 /// assert_eq!(report.final_text, "ollah");
 /// assert!(report.all_valid());
+/// assert!(report.stages.iter().all(|s| s.report.total_us > 0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -117,6 +119,10 @@ impl Pipeline {
     }
 
     /// Runs every stage through the solver, threading decoded outputs.
+    /// Each stage record carries its solve's [`SolveReport`], which
+    /// `qsmt solve --report` aggregates into the goal's `solves` array.
+    /// A pipeline never races a portfolio attached to the solver: each
+    /// stage feeds the next, so there is no independent race to win.
     ///
     /// # Errors
     /// Propagates the first encoding failure. A stage whose decoded output
@@ -124,158 +130,32 @@ impl Pipeline {
     /// reported in the per-stage outcomes), matching the paper's
     /// best-effort sequential composition.
     pub fn run(&self, solver: &StringSolver) -> Result<PipelineReport, ConstraintError> {
+        let solver = solver.single_strategy();
         let mut stages: Vec<StageReport> = Vec::with_capacity(self.num_stages());
-        let mut current: String = match &self.start {
-            Start::Literal(s) => s.clone(),
-            Start::Generate(c) => {
-                let outcome = solver.solve(c)?;
-                let text = outcome.solution.as_text().unwrap_or_default().to_string();
-                stages.push(StageReport {
-                    constraint: c.clone(),
-                    output: text.clone(),
-                    valid: outcome.valid,
-                    energy: outcome.energy,
-                    outcome,
-                });
-                text
-            }
-        };
-        for step in &self.steps {
-            let constraint = step.to_constraint(&current);
-            let outcome = solver.solve(&constraint)?;
-            let text = outcome.solution.as_text().unwrap_or_default().to_string();
+        let mut solve = |constraint: Constraint| -> Result<String, ConstraintError> {
+            let (outcome, report) = solver.solve(&constraint)?;
+            let output = outcome.solution.as_text().unwrap_or_default().to_string();
             stages.push(StageReport {
                 constraint,
-                output: text.clone(),
+                output: output.clone(),
                 valid: outcome.valid,
                 energy: outcome.energy,
                 outcome,
+                report,
             });
-            current = text;
+            Ok(output)
+        };
+        let mut current = match &self.start {
+            Start::Literal(s) => s.clone(),
+            Start::Generate(c) => solve(c.clone())?,
+        };
+        for step in &self.steps {
+            current = solve(step.to_constraint(&current))?;
         }
         Ok(PipelineReport {
             final_text: current,
             stages,
         })
-    }
-}
-
-impl Pipeline {
-    /// Like [`Pipeline::run`], additionally returning the Figure 1 stage
-    /// trace of every solver invocation — the multi-stage view of the
-    /// paper's §4.12 sequential composition.
-    ///
-    /// # Errors
-    /// Propagates the first encoding failure.
-    pub fn run_traced(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<(PipelineReport, Vec<crate::SolveTrace>), ConstraintError> {
-        let mut stages: Vec<StageReport> = Vec::with_capacity(self.num_stages());
-        let mut traces = Vec::with_capacity(self.num_stages());
-        let mut current: String = match &self.start {
-            Start::Literal(s) => s.clone(),
-            Start::Generate(c) => {
-                let (outcome, trace) = solver.solve_traced(c)?;
-                traces.push(trace);
-                let text = outcome.solution.as_text().unwrap_or_default().to_string();
-                stages.push(StageReport {
-                    constraint: c.clone(),
-                    output: text.clone(),
-                    valid: outcome.valid,
-                    energy: outcome.energy,
-                    outcome,
-                });
-                text
-            }
-        };
-        for step in &self.steps {
-            let constraint = step.to_constraint(&current);
-            let (outcome, trace) = solver.solve_traced(&constraint)?;
-            traces.push(trace);
-            let text = outcome.solution.as_text().unwrap_or_default().to_string();
-            stages.push(StageReport {
-                constraint,
-                output: text.clone(),
-                valid: outcome.valid,
-                energy: outcome.energy,
-                outcome,
-            });
-            current = text;
-        }
-        Ok((
-            PipelineReport {
-                final_text: current,
-                stages,
-            },
-            traces,
-        ))
-    }
-}
-
-impl Pipeline {
-    /// Like [`Pipeline::run`], additionally returning one
-    /// [`qsmt_telemetry::SolveReport`] per solver invocation — the
-    /// observability view of §4.12 sequential composition, aggregated by
-    /// `qsmt solve --report` into the per-goal `solves` array.
-    ///
-    /// ```
-    /// use qsmt_core::{Pipeline, Start, Step, StringSolver};
-    ///
-    /// let (report, solves) = Pipeline::new(Start::Literal("ab".into()))
-    ///     .then(Step::Reverse)
-    ///     .run_reported(&StringSolver::with_defaults().with_seed(3))
-    ///     .unwrap();
-    /// assert_eq!(report.final_text, "ba");
-    /// assert_eq!(solves.len(), 1);
-    /// assert!(solves[0].total_us > 0);
-    /// ```
-    ///
-    /// # Errors
-    /// Propagates the first encoding failure.
-    pub fn run_reported(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<(PipelineReport, Vec<qsmt_telemetry::SolveReport>), ConstraintError> {
-        let mut stages: Vec<StageReport> = Vec::with_capacity(self.num_stages());
-        let mut reports = Vec::with_capacity(self.num_stages());
-        let mut current: String = match &self.start {
-            Start::Literal(s) => s.clone(),
-            Start::Generate(c) => {
-                let (outcome, report) = solver.solve_reported(c)?;
-                reports.push(report);
-                let text = outcome.solution.as_text().unwrap_or_default().to_string();
-                stages.push(StageReport {
-                    constraint: c.clone(),
-                    output: text.clone(),
-                    valid: outcome.valid,
-                    energy: outcome.energy,
-                    outcome,
-                });
-                text
-            }
-        };
-        for step in &self.steps {
-            let constraint = step.to_constraint(&current);
-            let (outcome, report) = solver.solve_reported(&constraint)?;
-            reports.push(report);
-            let text = outcome.solution.as_text().unwrap_or_default().to_string();
-            stages.push(StageReport {
-                constraint,
-                output: text.clone(),
-                valid: outcome.valid,
-                energy: outcome.energy,
-                outcome,
-            });
-            current = text;
-        }
-        Ok((
-            PipelineReport {
-                final_text: current,
-                stages,
-            },
-            reports,
-        ))
     }
 }
 
@@ -343,6 +223,8 @@ pub struct StageReport {
     pub energy: f64,
     /// The full solve outcome.
     pub outcome: SolveOutcome,
+    /// The stage's solve report.
+    pub report: SolveReport,
 }
 
 /// The result of a pipeline run.
@@ -429,37 +311,31 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_untraced_and_yields_one_trace_per_stage() {
+    fn stage_records_carry_their_reports_and_never_race() {
         let p = Pipeline::new(Start::Literal("hello".into()))
             .then(Step::Reverse)
             .then(Step::ReplaceAll { from: 'e', to: 'a' });
-        let plain = p.run(&solver()).unwrap();
-        let (traced, traces) = p.run_traced(&solver()).unwrap();
-        assert_eq!(plain.final_text, traced.final_text);
-        assert_eq!(traces.len(), 2);
-        for t in &traces {
-            assert_eq!(t.stages.len(), 5, "each stage gets a full Figure 1 trace");
+        // An attached portfolio is ignored: each stage feeds the next.
+        let raced = solver().with_portfolio(crate::Portfolio::new());
+        for s in [solver(), raced] {
+            let run = p.run(&s).unwrap();
+            assert_eq!(run.final_text, "ollah");
+            assert_eq!(run.stages.len(), 2);
+            for stage in &run.stages {
+                assert_eq!(stage.report.valid, stage.valid);
+                let labels: Vec<&str> = stage
+                    .report
+                    .stages
+                    .iter()
+                    .map(|s| s.label.as_str())
+                    .collect();
+                assert_eq!(
+                    labels,
+                    vec!["compile", "lint", "presolve", "embed", "sample", "select"]
+                );
+            }
+            assert_eq!(run.stages[0].report.solution, "\"olleh\"");
         }
-    }
-
-    #[test]
-    fn reported_run_matches_plain_run() {
-        let p = Pipeline::new(Start::Literal("hello".into()))
-            .then(Step::Reverse)
-            .then(Step::ReplaceAll { from: 'e', to: 'a' });
-        let plain = p.run(&solver()).unwrap();
-        let (reported, reports) = p.run_reported(&solver()).unwrap();
-        assert_eq!(plain.final_text, reported.final_text);
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
-            assert!(r.valid);
-            let labels: Vec<&str> = r.stages.iter().map(|s| s.label.as_str()).collect();
-            assert_eq!(
-                labels,
-                vec!["compile", "lint", "presolve", "embed", "sample", "select"]
-            );
-        }
-        assert_eq!(reports[0].solution, "\"olleh\"");
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //!   [`PortfolioPlan`]: which members to race ([`MemberKind`]) and each
 //!   member's read/sweep budget. The thresholds come from the crossover
 //!   bench; `docs/PORTFOLIO.md` records the measured crossover points.
-//! * The first-wins race itself ([`StringSolver::solve_portfolio`]):
-//!   every plan member runs on its own scoped thread with its own
-//!   [`StopFlag`] and RNG stream (derived via `read_seed`, so the
-//!   winner's sample set is bit-identical to running that member alone
-//!   with the same seed), and the instant one member post-selects a
-//!   semantically valid answer it trips every other member's flag.
+//! * The first-wins race itself: the sample stage of
+//!   [`StringSolver::solve`] once [`StringSolver::with_portfolio`]
+//!   attaches a [`Portfolio`]. Every plan member runs on its own scoped
+//!   thread with its own [`StopFlag`] and RNG stream (derived via
+//!   `read_seed`, so the winner's sample set is bit-identical to running
+//!   that member alone with the same seed), and the instant one member
+//!   post-selects a semantically valid answer it trips every other
+//!   member's flag.
 //!
 //! Cancellation is cooperative and loss-free: an untripped flag never
 //! touches a sampler's RNG stream, so the winner's result carries no
@@ -31,16 +33,14 @@
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
 use crate::problem::{EncodedProblem, Solution};
-use crate::solver::{SolveOutcome, StringSolver};
+use crate::solver::{stage, Sampled, SolveOutcome, StringSolver};
 use qsmt_anneal::{
     read_seed, ExactSolver, SampleSet, Sampler, SamplerRunStats, SimulatedAnnealer,
     SimulatedQuantumAnnealer,
 };
-use qsmt_lint::lint_qubo;
 use qsmt_qubo::StopFlag;
 use qsmt_telemetry::{
-    CompileStats, Json, PortfolioMemberStats, PortfolioStats, PresolveStats, Recorder, SelectStats,
-    SolveReport, StageTiming,
+    Json, PortfolioMemberStats, PortfolioStats, Recorder, SelectStats, StageTiming,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -200,9 +200,13 @@ pub struct RoutingFeatures {
 }
 
 impl RoutingFeatures {
-    /// Computes the model-level features from a compiled problem and its
-    /// source constraint.
-    pub fn from_problem(problem: &EncodedProblem, constraint: &Constraint) -> Self {
+    /// Computes the features from a compiled problem, its source
+    /// constraint, and the script-level facts.
+    pub fn from_problem(
+        problem: &EncodedProblem,
+        constraint: &Constraint,
+        script: &ScriptFacts,
+    ) -> Self {
         let n = problem.qubo.num_vars();
         let pairs = n.saturating_sub(1) * n / 2;
         RoutingFeatures {
@@ -214,14 +218,8 @@ impl RoutingFeatures {
             },
             one_hot_groups: qsmt_lint::infer_groups(&problem.qubo).len(),
             transformation_only: is_transformation(constraint),
-            script: ScriptFacts::default(),
+            script: *script,
         }
-    }
-
-    /// Merges script-level facts (absint feature summary) into the
-    /// vector before routing.
-    pub fn merge_script(&mut self, facts: &ScriptFacts) {
-        self.script = *facts;
     }
 
     /// Serializes as a JSON object.
@@ -495,155 +493,37 @@ struct MemberRun {
     stopped: bool,
 }
 
-/// The result of a portfolio race, bundled for the reporting layers.
-#[derive(Debug, Clone)]
-pub struct PortfolioOutcome {
-    /// The winner's solve outcome (primary member's when none won).
-    pub outcome: SolveOutcome,
-    /// Which member kind won the race.
-    pub winner: MemberKind,
-    /// Winner's sampler counters (for the report's sampling section).
-    pub run_stats: SamplerRunStats,
-    /// Winner's post-selection counters: decoded states and the energy
-    /// rank of the chosen valid sample.
-    pub decoded: usize,
-    /// Energy-order rank of the winner's chosen valid sample.
-    pub valid_rank: Option<usize>,
-    /// The telemetry record (schema v9 `portfolio` section).
-    pub stats: PortfolioStats,
-}
-
 impl StringSolver {
     /// Computes the routing features for a constraint under this
-    /// solver's encoder settings, optionally enriched with script facts.
+    /// solver's encoder settings and script facts.
     ///
     /// # Errors
     /// Propagates encoding failures.
     pub fn routing_features(
         &self,
         constraint: &Constraint,
-        facts: Option<&ScriptFacts>,
     ) -> Result<RoutingFeatures, ConstraintError> {
         let problem = self.encode(constraint)?;
-        let mut features = RoutingFeatures::from_problem(&problem, constraint);
-        if let Some(facts) = facts {
-            features.merge_script(facts);
-        }
-        Ok(features)
+        Ok(RoutingFeatures::from_problem(
+            &problem,
+            constraint,
+            self.script_facts(),
+        ))
     }
 
-    /// Solves a constraint by racing a routed portfolio: every plan
-    /// member runs on its own scoped thread with its own stop flag and
-    /// RNG stream, and the first member whose post-selected answer
-    /// validates cancels the rest. See the module docs for the
-    /// determinism and loss-free-cancellation guarantees.
-    ///
-    /// # Errors
-    /// Propagates encoding failures, and — in deny-on-error mode — lint
-    /// rejections, exactly like [`StringSolver::solve`].
-    pub fn solve_portfolio(
+    /// The raced half of [`StringSolver::solve`]: route the compiled
+    /// model, then race the plan as one `portfolio` stage. The report
+    /// carries the winner's sampling/selection counters and the
+    /// schema-v9 `portfolio` section.
+    pub(crate) fn race_stage(
         &self,
         constraint: &Constraint,
+        problem: &EncodedProblem,
         portfolio: &Portfolio,
-        facts: Option<&ScriptFacts>,
-    ) -> Result<PortfolioOutcome, ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let mut features = RoutingFeatures::from_problem(&problem, constraint);
-        if let Some(facts) = facts {
-            features.merge_script(facts);
-        }
-        let plan = portfolio.router.route(&features);
-        Ok(self.race(constraint, &problem, &plan, portfolio.classical.as_ref()))
-    }
-
-    /// [`StringSolver::solve_portfolio`] with a full [`SolveReport`]: the
-    /// usual compile/lint/presolve stages, then a `portfolio` stage
-    /// covering the race, the winner's sampling/selection counters, and
-    /// the schema-v9 `portfolio` section.
-    ///
-    /// # Errors
-    /// Propagates encoding failures and — in deny-on-error mode — lint
-    /// rejections.
-    pub fn solve_portfolio_reported(
-        &self,
-        constraint: &Constraint,
-        portfolio: &Portfolio,
-        facts: Option<&ScriptFacts>,
-    ) -> Result<(PortfolioOutcome, SolveReport), ConstraintError> {
-        fn begin(stages: &mut Vec<StageTiming>, rec: &Recorder, label: &str) -> u64 {
-            let start = rec.elapsed_us();
-            stages.push(StageTiming {
-                label: label.to_string(),
-                start_us: start,
-                dur_us: 0,
-            });
-            start
-        }
-
-        let rec = Recorder::new();
-        let mut stages = Vec::with_capacity(4);
-
-        let start = begin(&mut stages, &rec, "compile");
-        let problem = {
-            let _s = rec.span("compile");
-            let _t = qsmt_trace::span("compile");
-            self.encode(constraint)?
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        let qubo_shape = problem.qubo.shape();
-        rec.event(
-            "encoded",
-            format!("{} vars via {}", qubo_shape.num_vars, problem.name),
-        );
-        let compile = CompileStats {
-            constraint: constraint.describe(),
-            encoding: problem.name.to_string(),
-            time_us: stages.last().expect("pushed").dur_us,
-        };
-
-        let start = begin(&mut stages, &rec, "lint");
-        let lint_report = {
-            let _s = rec.span("lint");
-            let _t = qsmt_trace::span("lint");
-            lint_qubo(&problem.qubo, self.lint_config())
-        };
-        let lint_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = lint_us;
-        rec.event("linted", lint_report.summary());
-        self.deny_gate(&problem.qubo)?;
-        let lint = Some(lint_report.to_stats(lint_us));
-
-        let start = begin(&mut stages, &rec, "presolve");
-        let presolve = {
-            let _s = rec.span("presolve");
-            let _t = qsmt_trace::span("presolve");
-            let reduced = qsmt_qubo::presolve(&problem.qubo);
-            let original = problem.qubo.num_vars();
-            let fixed = reduced.num_fixed();
-            PresolveStats {
-                time_us: 0,
-                original_vars: original,
-                fixed_vars: fixed,
-                reduced_vars: original - fixed,
-                reduction_ratio: if original == 0 {
-                    0.0
-                } else {
-                    fixed as f64 / original as f64
-                },
-            }
-        };
-        let presolve_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = presolve_us;
-        let presolve = PresolveStats {
-            time_us: presolve_us,
-            ..presolve
-        };
-
-        let mut features = RoutingFeatures::from_problem(&problem, constraint);
-        if let Some(facts) = facts {
-            features.merge_script(facts);
-        }
+        rec: &Recorder,
+        stages: &mut Vec<StageTiming>,
+    ) -> Sampled {
+        let features = RoutingFeatures::from_problem(problem, constraint, self.script_facts());
         let plan = portfolio.router.route(&features);
         rec.event(
             "routed",
@@ -653,63 +533,45 @@ impl StringSolver {
                 plan.predicted.as_str()
             ),
         );
-
-        let start = begin(&mut stages, &rec, "portfolio");
-        let out = {
-            let _s = rec.span("portfolio");
-            let _t = qsmt_trace::span("portfolio");
-            self.race(constraint, &problem, &plan, portfolio.classical.as_ref())
-        };
-        let race_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = race_us;
+        let ((run, winner, stats), _) = stage(rec, stages, "portfolio", || {
+            self.race(constraint, problem, &plan, portfolio.classical.as_ref())
+        });
         rec.event(
             "raced",
-            format!("{} won in {} µs", out.winner.as_str(), out.stats.time_us),
+            format!("{} won in {} µs", winner.as_str(), stats.time_us),
         );
-
-        let sampling = Self::sampler_stats(
-            out.winner.sampler_name(),
-            &out.outcome.samples,
-            out.run_stats,
-            out.stats.members[out.stats.winner_index as usize].elapsed_us,
-        );
-        let select = SelectStats {
-            time_us: 0,
-            decoded_states: out.decoded,
-            valid_rank: out.valid_rank,
-        };
-
-        let total_us = rec.elapsed_us();
-        let report = SolveReport {
-            constraint: constraint.describe(),
-            solution: out.outcome.solution.to_string(),
-            energy: out.outcome.energy,
-            valid: out.outcome.valid,
-            total_us,
-            stages,
-            compile,
-            qubo: qubo_shape,
-            lint,
-            presolve,
+        Sampled {
+            sampling: Self::sampler_stats(
+                winner.sampler_name(),
+                &run.outcome.samples,
+                run.run_stats,
+                run.elapsed_us,
+            ),
+            select: SelectStats {
+                time_us: 0,
+                decoded_states: run.decoded,
+                valid_rank: run.valid_rank,
+            },
+            outcome: run.outcome,
             embedding: None,
-            sampling,
-            select,
             dynamics: None,
             cache: None,
-            portfolio: Some(out.stats.clone()),
-            spans: rec.finish(),
-        };
-        Ok((out, report))
+            portfolio: Some(stats),
+        }
     }
 
-    /// Runs the first-wins race for an already-routed plan.
+    /// Runs the first-wins race for an already-routed plan: every plan
+    /// member runs on its own scoped thread with its own stop flag and
+    /// RNG stream, and the first member whose post-selected answer
+    /// validates cancels the rest. Returns the winner's run, its kind,
+    /// and the race record.
     fn race(
         &self,
         constraint: &Constraint,
         problem: &EncodedProblem,
         plan: &PortfolioPlan,
         classical: Option<&ClassicalHook>,
-    ) -> PortfolioOutcome {
+    ) -> (MemberRun, MemberKind, PortfolioStats) {
         let n = plan.members.len();
         let flags: Vec<StopFlag> = (0..n).map(|_| StopFlag::new()).collect();
         let winner: Mutex<Option<usize>> = Mutex::new(None);
@@ -721,7 +583,7 @@ impl StringSolver {
         // with the race.
         let race_done = std::sync::atomic::AtomicBool::new(false);
 
-        let runs: Vec<MemberRun> = std::thread::scope(|scope| {
+        let mut runs: Vec<MemberRun> = std::thread::scope(|scope| {
             if let Some(outer) = self.outer_stop().cloned() {
                 let flags = &flags;
                 let race_done = &race_done;
@@ -774,7 +636,7 @@ impl StringSolver {
                                     .expect("non-classical members build samplers");
                                 let (samples, run_stats) = sampler.sample_stats(&problem.qubo);
                                 let (outcome, decoded, valid_rank) =
-                                    self.select_counted(constraint, problem.clone(), samples);
+                                    self.select(constraint, problem.clone(), samples);
                                 (outcome, run_stats, decoded, valid_rank)
                             }
                         };
@@ -875,15 +737,7 @@ impl StringSolver {
             members,
             time_us: race_us,
         };
-        let run = &runs[widx];
-        PortfolioOutcome {
-            outcome: run.outcome.clone(),
-            winner: winner_kind,
-            run_stats: run.run_stats,
-            decoded: run.decoded,
-            valid_rank: run.valid_rank,
-            stats,
-        }
+        (runs.swap_remove(widx), winner_kind, stats)
     }
 }
 
@@ -972,14 +826,15 @@ mod tests {
             index: 1,
             len: 3,
         };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        assert!(out.outcome.valid);
-        assert_eq!(out.winner, MemberKind::Exact);
-        assert_eq!(out.stats.members[0].outcome, "won");
+        let (out, report) = solver.with_portfolio(portfolio).solve(&c).unwrap();
+        let stats = report.portfolio.expect("raced");
+        assert!(out.valid);
+        assert_eq!(stats.winner, MemberKind::Exact.as_str());
+        assert_eq!(stats.members[0].outcome, "won");
         // The backstop annealer observed the winner's cancellation (or
         // finished losing); either way the race recorded it.
-        assert_eq!(out.stats.members.len(), 2);
-        assert_ne!(out.stats.members[1].outcome, "won");
+        assert_eq!(stats.members.len(), 2);
+        assert_ne!(stats.members[1].outcome, "won");
     }
 
     #[test]
@@ -987,16 +842,20 @@ mod tests {
         let solver = StringSolver::with_defaults().with_seed(11);
         let portfolio = Portfolio::new();
         let c = Constraint::Palindrome { len: 6 };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        let widx = out.stats.winner_index as usize;
-        let features = solver.routing_features(&c, None).unwrap();
+        let (out, report) = solver
+            .clone()
+            .with_portfolio(portfolio.clone())
+            .solve(&c)
+            .unwrap();
+        let widx = report.portfolio.expect("raced").winner_index as usize;
+        let features = solver.routing_features(&c).unwrap();
         let plan = portfolio.router().route(&features);
         let member = plan.members[widx];
         let solo = member
             .sampler(member_seed(11, widx), None)
             .expect("winner is sampler-backed")
             .sample(&solver.encode(&c).unwrap().qubo);
-        assert_eq!(out.outcome.samples, solo);
+        assert_eq!(out.samples, solo);
     }
 
     #[test]
@@ -1010,10 +869,10 @@ mod tests {
         let c = Constraint::Reverse {
             input: "portfolio".into(),
         };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        assert_eq!(out.winner, MemberKind::Classical);
-        assert_eq!(out.outcome.solution.as_text(), Some("oiloftrop"));
-        assert!(out.outcome.valid);
+        let (out, report) = solver.with_portfolio(portfolio).solve(&c).unwrap();
+        assert_eq!(report.portfolio.expect("raced").winner, "classical");
+        assert_eq!(out.solution.as_text(), Some("oiloftrop"));
+        assert!(out.valid);
     }
 
     #[test]
@@ -1028,10 +887,11 @@ mod tests {
             haystack: "xyz".into(),
             needle: "ab".into(),
         };
-        let out = solver.solve_portfolio(&c, &portfolio, None).unwrap();
-        let widx = out.stats.winner_index as usize;
-        assert!(widx < out.stats.members.len());
-        if !out.outcome.valid {
+        let (out, report) = solver.with_portfolio(portfolio).solve(&c).unwrap();
+        let stats = report.portfolio.expect("raced");
+        let widx = stats.winner_index as usize;
+        assert!(widx < stats.members.len());
+        if !out.valid {
             assert_eq!(widx, 0, "no winner must fall back to the primary");
         }
     }

@@ -1,20 +1,25 @@
 //! The solver facade: constraint → QUBO → sampler → decoded, validated
-//! answer, with a stage trace reproducing the paper's Figure 1 pipeline.
+//! answer, with a per-stage report reproducing the paper's Figure 1
+//! pipeline.
 
 use crate::cache::{CacheLookup, SolveCache};
 use crate::constraint::Constraint;
 use crate::error::ConstraintError;
 use crate::ops::{BiasProfile, DEFAULT_STRENGTH};
+use crate::portfolio::{Portfolio, ScriptFacts};
 use crate::problem::{EncodedProblem, Solution};
-use qsmt_anneal::{metrics, ProbeConfig, SampleSet, Sampler, SamplerDynamics, SimulatedAnnealer};
-use qsmt_lint::{lint_qubo, LintConfig, LintReport};
-use qsmt_qubo::{DenseQubo, ModelFingerprint, QuboModel, StopFlag};
-use qsmt_telemetry::{
-    CacheStats, CompileStats, DynamicsStats, EmbeddingStats, HistogramSummary, PresolveStats,
-    Recorder, SamplerStats, SelectStats, SolveReport, StageTiming, StallVerdict,
+use qsmt_anneal::{
+    metrics, ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRunStats, SimulatedAnnealer,
 };
+use qsmt_lint::{lint_qubo, LintConfig, LintReport};
+use qsmt_qubo::{ModelFingerprint, QuboModel, StopFlag};
+use qsmt_telemetry::{
+    CacheStats, CompileStats, DynamicsStats, EmbeddingStats, HistogramSummary, PortfolioStats,
+    PresolveStats, Recorder, SamplerStats, SelectStats, SolveReport, StageTiming, StallVerdict,
+};
+use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The quantum(-simulated) string SMT solver.
 ///
@@ -34,11 +39,12 @@ use std::time::Duration;
 /// use qsmt_core::{Constraint, StringSolver};
 ///
 /// let solver = StringSolver::with_defaults().with_seed(7);
-/// let out = solver
+/// let (out, report) = solver
 ///     .solve(&Constraint::Reverse { input: "hello".into() })
 ///     .unwrap();
 /// assert_eq!(out.solution.as_text(), Some("olleh"));
 /// assert!(out.valid);
+/// assert!(report.stages.iter().any(|s| s.label == "sample"));
 /// ```
 #[derive(Clone)]
 pub struct StringSolver {
@@ -51,6 +57,8 @@ pub struct StringSolver {
     deny_lint_errors: bool,
     stop: Option<StopFlag>,
     cache: Option<Arc<SolveCache>>,
+    portfolio: Option<Portfolio>,
+    script_facts: ScriptFacts,
 }
 
 impl StringSolver {
@@ -66,6 +74,8 @@ impl StringSolver {
             deny_lint_errors: false,
             stop: None,
             cache: None,
+            portfolio: None,
+            script_facts: ScriptFacts::default(),
         }
     }
 
@@ -104,12 +114,12 @@ impl StringSolver {
         self.seed
     }
 
-    pub(crate) fn lint_config(&self) -> &LintConfig {
-        &self.lint_config
-    }
-
     pub(crate) fn outer_stop(&self) -> Option<&StopFlag> {
         self.stop.as_ref()
+    }
+
+    pub(crate) fn script_facts(&self) -> &ScriptFacts {
+        &self.script_facts
     }
 
     /// Sets the default sampler's read count. Deeply degenerate encodings
@@ -131,11 +141,10 @@ impl StringSolver {
         self
     }
 
-    /// Enables (or disables) deny-on-error mode: every solve first runs
-    /// the formulation linter over the compiled QUBO and refuses to
-    /// sample when any error-level diagnostic fires, returning
-    /// [`ConstraintError::LintRejected`] instead of a silently-unsound
-    /// answer.
+    /// Enables (or disables) deny-on-error mode: a solve refuses to
+    /// sample when its lint stage reports any error-level diagnostic,
+    /// returning [`ConstraintError::LintRejected`] instead of a
+    /// silently-unsound answer.
     pub fn with_deny_lint_errors(mut self, deny: bool) -> Self {
         self.deny_lint_errors = deny;
         self
@@ -170,26 +179,41 @@ impl StringSolver {
         self
     }
 
-    /// A completed solve may be cached; one cut short by the cooperative
-    /// stop flag carries a truncated sample set and must not be.
-    fn completed_without_cancel(&self) -> bool {
-        self.stop.as_ref().is_none_or(|s| !s.is_stopped())
+    /// Attaches a routed [`Portfolio`]: every solve's sample stage then
+    /// races the plan the portfolio's router picks for the compiled model
+    /// instead of running the configured sampler. The race bypasses the
+    /// cache, and its report carries a `portfolio` stage in place of
+    /// `embed`/`sample`/`select`. See `docs/PORTFOLIO.md`.
+    pub fn with_portfolio(mut self, portfolio: Portfolio) -> Self {
+        self.portfolio = Some(portfolio);
+        self
     }
 
-    /// The reverse-annealing sampler for a shape-hash warm start: the
-    /// *configured* sampler, re-seeded with the cached ground state via
-    /// [`Sampler::warm_started`] so its own reads/seed/stop configuration
-    /// (and any instrumentation a custom sampler carries) stays in
-    /// charge. `None` when the sampler cannot accept an initial state —
-    /// callers then sample cold.
-    fn warm_sampler(&self, state: Vec<u8>) -> Option<Arc<dyn Sampler>> {
-        self.sampler.warm_started(state)
+    /// Sets the script-level facts (absint feature summary) the portfolio
+    /// router reads alongside each compiled model's own structure. All
+    /// zero unless a script driver supplies them.
+    pub fn with_script_facts(mut self, facts: ScriptFacts) -> Self {
+        self.script_facts = facts;
+        self
     }
 
-    /// Caches a finished solve unless it was cancelled mid-anneal.
+    /// This solver without its portfolio. Pipeline stages feed each
+    /// other, so they never race.
+    pub(crate) fn single_strategy(&self) -> Cow<'_, Self> {
+        if self.portfolio.is_none() {
+            return Cow::Borrowed(self);
+        }
+        Cow::Owned(Self {
+            portfolio: None,
+            ..self.clone()
+        })
+    }
+
+    /// Caches a finished solve unless the cooperative stop flag cut it
+    /// short: a cancelled solve carries a truncated sample set.
     fn cache_completed(&self, fp: ModelFingerprint, outcome: &SolveOutcome) {
         if let Some(cache) = &self.cache {
-            if self.completed_without_cancel() {
+            if self.stop.as_ref().is_none_or(|s| !s.is_stopped()) {
                 cache.insert(fp, outcome.problem.num_vars(), self.seed, &outcome.samples);
             }
         }
@@ -237,16 +261,6 @@ impl StringSolver {
         Ok(lint_qubo(&problem.qubo, &self.lint_config))
     }
 
-    /// Deny gate: when deny-on-error mode is on, lint the compiled model
-    /// and reject it if any error-level diagnostic fires.
-    pub(crate) fn deny_gate(&self, qubo: &QuboModel) -> Result<(), ConstraintError> {
-        if !self.deny_lint_errors {
-            return Ok(());
-        }
-        let report = lint_qubo(qubo, &self.lint_config);
-        Self::reject_on_errors(&report)
-    }
-
     fn reject_on_errors(report: &LintReport) -> Result<(), ConstraintError> {
         if report.has_errors() {
             let codes = report.codes().join(", ");
@@ -257,114 +271,257 @@ impl StringSolver {
         Ok(())
     }
 
-    /// Solves a constraint end to end.
+    /// Solves a constraint end to end and reports every stage: per-stage
+    /// timings, QUBO shape, lint, presolve and embedding statistics,
+    /// sampler counters, and the raw span log (see
+    /// `docs/OBSERVABILITY.md` for every field's meaning).
+    ///
+    /// The stages run in order: compile, lint (which the deny gate of
+    /// [`StringSolver::with_deny_lint_errors`] reads), presolve, then
+    /// either embed → sample → select → cache insert or — with a
+    /// [`Portfolio`] attached — one `portfolio` race stage. Lint,
+    /// presolve and the embedding probe (a minor embedding onto a
+    /// Chimera topology sized to fit the problem) are read-only: the
+    /// sample set is bit-identical to running the sampler on the encoded
+    /// QUBO directly.
     ///
     /// # Errors
-    /// Propagates encoding failures, and — in deny-on-error mode
-    /// ([`StringSolver::with_deny_lint_errors`]) — lint rejections.
-    /// Sampling itself is infallible.
-    pub fn solve(&self, constraint: &Constraint) -> Result<SolveOutcome, ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let Some(cache) = &self.cache else {
-            let samples = self.sampler.sample(&problem.qubo);
-            return Ok(self.select(constraint, problem, samples));
-        };
-        let fp = problem.qubo.fingerprint();
-        let allow_warm = self.sampler.supports_initial_state();
-        match cache.lookup(fp, problem.num_vars(), self.reads as u64, allow_warm) {
-            CacheLookup::Exact { samples, .. } => Ok(self.select(constraint, problem, samples)),
-            CacheLookup::Warm(state) => {
-                let samples = match self.warm_sampler(state) {
-                    Some(warm) => warm.sample(&problem.qubo),
-                    None => self.sampler.sample(&problem.qubo),
-                };
-                let outcome = self.select(constraint, problem, samples);
-                self.cache_completed(fp, &outcome);
-                Ok(outcome)
-            }
-            CacheLookup::Miss => {
-                let samples = self.sampler.sample(&problem.qubo);
-                let outcome = self.select(constraint, problem, samples);
-                self.cache_completed(fp, &outcome);
-                Ok(outcome)
-            }
-        }
-    }
-
-    /// Solves with a full stage trace (the paper's Figure 1).
-    ///
-    /// # Errors
-    /// Propagates encoding failures.
-    pub fn solve_traced(
+    /// Propagates encoding failures, and — in deny-on-error mode — lint
+    /// rejections. Sampling itself is infallible.
+    pub fn solve(
         &self,
         constraint: &Constraint,
-    ) -> Result<(SolveOutcome, SolveTrace), ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let dense = DenseQubo::from_model(&problem.qubo);
-        let trace_matrix = dense.abbreviated(4, 4);
-        let stages = vec![
-            TraceStage {
-                label: "operation + args".into(),
-                detail: constraint.describe(),
-            },
-            TraceStage {
-                label: "binary variables".into(),
-                detail: format!("{} binary variables ({})", problem.num_vars(), problem.name),
-            },
-            TraceStage {
-                label: "QUBO matrix".into(),
-                detail: format!(
-                    "{0}×{0} matrix, {1} off-diagonal interactions, diagonal: {2}\n{3}",
-                    problem.num_vars(),
-                    problem.qubo.num_interactions(),
-                    if dense.is_diagonal() { "yes" } else { "no" },
-                    trace_matrix
-                ),
-            },
-            TraceStage {
-                label: "annealer".into(),
-                detail: format!("sampler: {}", self.sampler.name()),
-            },
-        ];
-        let samples = self.sampler.sample(&problem.qubo);
-        let outcome = self.select(constraint, problem, samples);
-        let mut stages = stages;
-        stages.push(TraceStage {
-            label: "decoded output".into(),
-            detail: format!(
-                "{} (energy {:.3}, valid: {})",
-                outcome.solution, outcome.energy, outcome.valid
-            ),
+    ) -> Result<(SolveOutcome, SolveReport), ConstraintError> {
+        let rec = Recorder::new();
+        let mut stages = Vec::with_capacity(6);
+
+        let (problem, compile_us) = stage(&rec, &mut stages, "compile", || self.encode(constraint));
+        let problem = problem?;
+        let qubo = problem.qubo.shape();
+        rec.event(
+            "encoded",
+            format!("{} vars via {}", qubo.num_vars, problem.name),
+        );
+        let compile = CompileStats {
+            constraint: constraint.describe(),
+            encoding: problem.name.to_string(),
+            time_us: compile_us,
+        };
+
+        let (lint_report, lint_us) = stage(&rec, &mut stages, "lint", || {
+            lint_qubo(&problem.qubo, &self.lint_config)
         });
-        Ok((outcome, SolveTrace { stages }))
+        rec.event("linted", lint_report.summary());
+        if self.deny_lint_errors {
+            Self::reject_on_errors(&lint_report)?;
+        }
+
+        let (fixed, presolve_us) = stage(&rec, &mut stages, "presolve", || {
+            qsmt_qubo::presolve(&problem.qubo).num_fixed()
+        });
+        let original = problem.qubo.num_vars();
+        let presolve = PresolveStats {
+            time_us: presolve_us,
+            original_vars: original,
+            fixed_vars: fixed,
+            reduced_vars: original - fixed,
+            reduction_ratio: if original == 0 {
+                0.0
+            } else {
+                fixed as f64 / original as f64
+            },
+        };
+
+        let sampled = match &self.portfolio {
+            Some(portfolio) => self.race_stage(constraint, &problem, portfolio, &rec, &mut stages),
+            None => self.sample_stages(constraint, problem, &rec, &mut stages),
+        };
+        let outcome = sampled.outcome;
+        let report = SolveReport {
+            constraint: constraint.describe(),
+            solution: outcome.solution.to_string(),
+            energy: outcome.energy,
+            valid: outcome.valid,
+            total_us: rec.elapsed_us(),
+            stages,
+            compile,
+            qubo,
+            lint: Some(lint_report.to_stats(lint_us)),
+            presolve,
+            embedding: sampled.embedding,
+            sampling: sampled.sampling,
+            select: sampled.select,
+            dynamics: sampled.dynamics,
+            cache: sampled.cache,
+            portfolio: sampled.portfolio,
+            spans: rec.finish(),
+        };
+        Ok((outcome, report))
+    }
+
+    /// The solo half of [`StringSolver::solve`]: embed, sample behind the
+    /// cache (when attached), select, and insert the result.
+    fn sample_stages(
+        &self,
+        constraint: &Constraint,
+        problem: EncodedProblem,
+        rec: &Recorder,
+        stages: &mut Vec<StageTiming>,
+    ) -> Sampled {
+        let (embedding, _) = stage(rec, stages, "embed", || self.probe_embedding(&problem.qubo));
+        if let Some(e) = &embedding {
+            rec.event(
+                "embedded",
+                format!(
+                    "{} logical → {} physical on {}",
+                    e.num_logical, e.num_physical_qubits, e.topology
+                ),
+            );
+        }
+
+        let start = rec.elapsed_us();
+        // The trace span stays open until the per-read child spans are
+        // spliced in below, so their intervals nest inside it.
+        let trace_sample = qsmt_trace::span("sample");
+        let trace_base_us = qsmt_trace::active().then(qsmt_trace::now_us);
+        // Consult the cache (when attached) before paying for sampling:
+        // an exact fingerprint hit replays the cached sample set, a shape
+        // hit warm-starts a short reverse anneal, a miss samples cold.
+        let lookup = self.cache.as_ref().map(|solve_cache| {
+            let fp = problem.qubo.fingerprint();
+            let t = Instant::now();
+            let allow_warm = self.sampler.supports_initial_state();
+            let found = solve_cache.lookup(fp, problem.num_vars(), self.reads as u64, allow_warm);
+            (fp, found, t.elapsed().as_micros() as u64)
+        });
+        let cache_stats = |outcome: &str, lookup_us, source: Option<(u64, u64)>, warm_sweeps| {
+            Some(CacheStats {
+                outcome: outcome.to_string(),
+                lookup_us,
+                warm_sweeps,
+                source_reads: source.map(|(reads, _)| reads),
+                source_seed: source.map(|(_, seed)| seed),
+            })
+        };
+        // `supports_initial_state` gated the warm lookup, so the configured
+        // sampler provides the warm variant; fall back to a cold run if a
+        // custom sampler breaks that contract. Trajectory probes observe,
+        // never steer: the sample set is bit-identical to the un-probed
+        // path (pinned by tests).
+        let run = |warm_state: Option<Vec<u8>>| {
+            let _s = rec.span("sample");
+            let warm = warm_state.and_then(|state| self.sampler.warm_started(state));
+            warm.as_deref()
+                .unwrap_or(&*self.sampler)
+                .sample_dynamics(&problem.qubo, &ProbeConfig::default())
+        };
+        let name = self.sampler.name();
+        let (samples, run_stats, raw_dynamics, sampler_name, cache, insert_fp) = match lookup {
+            Some((
+                _,
+                CacheLookup::Exact {
+                    samples,
+                    reads,
+                    seed,
+                },
+                lookup_us,
+            )) => {
+                rec.event("cache", "exact hit: replaying cached sample set");
+                let stats = cache_stats("exact-hit", lookup_us, Some((reads, seed)), None);
+                let (run, raw) = (SamplerRunStats::default(), SamplerDynamics::default());
+                (samples, run, raw, "cache", stats, None)
+            }
+            Some((fp, CacheLookup::Warm(state), lookup_us)) => {
+                rec.event("cache", "shape hit: warm-starting reverse anneal");
+                let (samples, run_stats, raw) = run(Some(state));
+                let stats = cache_stats("warm-start", lookup_us, None, run_stats.sweeps);
+                (samples, run_stats, raw, name, stats, Some(fp))
+            }
+            Some((fp, CacheLookup::Miss, lookup_us)) => {
+                let (samples, run_stats, raw) = run(None);
+                let stats = cache_stats("miss", lookup_us, None, None);
+                (samples, run_stats, raw, name, stats, Some(fp))
+            }
+            None => {
+                let (samples, run_stats, raw) = run(None);
+                (samples, run_stats, raw, name, None, None)
+            }
+        };
+        let sample_us = rec.elapsed_us() - start;
+        stages.push(StageTiming {
+            label: "sample".to_string(),
+            start_us: start,
+            dur_us: sample_us,
+        });
+        // Splice the sampler's per-read wall-clock intervals (measured
+        // relative to its own start) onto the trace axis as children of
+        // the still-open sample span. `trace_base_us` was captured just
+        // before sampling began, so read intervals stay contained.
+        if let Some(base_us) = trace_base_us {
+            for (i, &(offset_us, dur_us)) in raw_dynamics.read_spans.iter().enumerate() {
+                qsmt_trace::span_at(&format!("read {i}"), base_us + offset_us, dur_us);
+            }
+        }
+        drop(trace_sample);
+        let sampling = Self::sampler_stats(sampler_name, &samples, run_stats, sample_us);
+        let dynamics = Self::dynamics_stats(raw_dynamics, run_stats.acceptance_rate());
+        if let Some(d) = &dynamics {
+            rec.event(
+                "dynamics",
+                format!("{} trajectory", d.stall_verdict.as_str()),
+            );
+        }
+
+        let ((outcome, decoded_states, valid_rank), select_us) =
+            stage(rec, stages, "select", || {
+                self.select(constraint, problem, samples)
+            });
+        if let Some(fp) = insert_fp {
+            self.cache_completed(fp, &outcome);
+        }
+        Sampled {
+            outcome,
+            embedding,
+            sampling,
+            select: SelectStats {
+                time_us: select_us,
+                decoded_states,
+                valid_rank,
+            },
+            dynamics,
+            cache,
+            portfolio: None,
+        }
     }
 
     /// Returns up to `limit` *distinct, valid* solutions ordered by
     /// energy — model enumeration for test-generation workloads, where
-    /// one witness per branch is rarely enough.
+    /// one witness per branch is rarely enough. A filter over the sample
+    /// set of one [`StringSolver::solve`], so it pays for that solve's
+    /// whole report (lint, presolve, embedding probe, sampler dynamics),
+    /// reads and writes an attached cache — a shape hit warm-starts a
+    /// short reverse anneal, which can surface fewer distinct witnesses
+    /// than a cold run — and races an attached portfolio, whose winner's
+    /// sample set is the one filtered.
     ///
     /// The degenerate ground states of the paper's generation encodings
     /// (palindromes, regexes, flexible fills) make this natural: one
     /// sampling pass usually surfaces many distinct witnesses.
     ///
     /// # Errors
-    /// Propagates encoding failures.
+    /// Propagates [`StringSolver::solve`] failures.
     pub fn solve_many(
         &self,
         constraint: &Constraint,
         limit: usize,
     ) -> Result<Vec<Solution>, ConstraintError> {
-        let problem = self.encode(constraint)?;
-        self.deny_gate(&problem.qubo)?;
-        let samples = self.sampler.sample(&problem.qubo);
+        let (outcome, _) = self.solve(constraint)?;
         let mut out = Vec::new();
-        for sample in samples.iter() {
+        for sample in outcome.samples.iter() {
             if out.len() >= limit {
                 break;
             }
-            let Ok(solution) = problem.decode_state(&sample.state) else {
+            let Ok(solution) = outcome.problem.decode_state(&sample.state) else {
                 continue;
             };
             if constraint.validate(&solution) && !out.contains(&solution) {
@@ -375,20 +532,11 @@ impl StringSolver {
     }
 
     /// Post-selection: lowest-energy sample whose decoding validates;
-    /// falls back to the overall best sample when none validates.
-    fn select(
-        &self,
-        constraint: &Constraint,
-        problem: EncodedProblem,
-        samples: SampleSet,
-    ) -> SolveOutcome {
-        self.select_counted(constraint, problem, samples).0
-    }
-
-    /// [`StringSolver::select`] plus the counters telemetry wants: how
-    /// many distinct states were decoded before the search stopped, and
-    /// the energy-order rank of the chosen valid sample.
-    pub(crate) fn select_counted(
+    /// falls back to the overall best sample when none validates. Also
+    /// returns the counters telemetry wants: how many distinct states
+    /// were decoded before the search stopped, and the energy-order rank
+    /// of the chosen valid sample.
+    pub(crate) fn select(
         &self,
         constraint: &Constraint,
         problem: EncodedProblem,
@@ -406,11 +554,9 @@ impl StringSolver {
             if best.is_none() {
                 best = Some((solution.clone(), sample.energy));
             }
-            if valid_pick.is_none() && constraint.validate(&solution) {
+            if constraint.validate(&solution) {
                 valid_pick = Some((solution, sample.energy));
                 valid_rank = Some(rank);
-            }
-            if valid_pick.is_some() {
                 break;
             }
         }
@@ -430,274 +576,6 @@ impl StringSolver {
             decoded,
             valid_rank,
         )
-    }
-
-    /// Solves a constraint end to end, additionally producing the full
-    /// observability record: per-stage timings, QUBO shape, presolve and
-    /// embedding statistics, sampler counters, and the raw span log. See
-    /// `docs/OBSERVABILITY.md` for every field's meaning.
-    ///
-    /// The solve path is identical to [`StringSolver::solve`] — telemetry
-    /// is observational and the sampler's RNG stream is untouched — except
-    /// for three extra read-only analyses: a formulation-lint pass
-    /// ([`qsmt_lint`]) over the compiled QUBO, a presolve pass, and a
-    /// minor-embedding probe onto a Chimera topology sized to fit the
-    /// problem (so reports carry chain statistics even when sampling
-    /// classically).
-    ///
-    /// ```
-    /// use qsmt_core::{Constraint, StringSolver};
-    ///
-    /// let solver = StringSolver::with_defaults().with_seed(7);
-    /// let (out, report) = solver
-    ///     .solve_reported(&Constraint::Reverse { input: "ab".into() })
-    ///     .unwrap();
-    /// assert_eq!(out.solution.as_text(), Some("ba"));
-    /// assert_eq!(report.qubo.num_vars, out.problem.num_vars());
-    /// assert!(report.stages.iter().any(|s| s.label == "sample"));
-    /// ```
-    ///
-    /// # Errors
-    /// Propagates encoding failures, exactly like [`StringSolver::solve`].
-    pub fn solve_reported(
-        &self,
-        constraint: &Constraint,
-    ) -> Result<(SolveOutcome, SolveReport), ConstraintError> {
-        fn begin(stages: &mut Vec<StageTiming>, rec: &Recorder, label: &str) -> u64 {
-            let start = rec.elapsed_us();
-            stages.push(StageTiming {
-                label: label.to_string(),
-                start_us: start,
-                dur_us: 0,
-            });
-            start
-        }
-
-        let rec = Recorder::new();
-        let mut stages = Vec::with_capacity(6);
-
-        let start = begin(&mut stages, &rec, "compile");
-        let problem = {
-            let _s = rec.span("compile");
-            let _t = qsmt_trace::span("compile");
-            self.encode(constraint)?
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        let qubo_shape = problem.qubo.shape();
-        rec.event(
-            "encoded",
-            format!("{} vars via {}", qubo_shape.num_vars, problem.name),
-        );
-        let compile = CompileStats {
-            constraint: constraint.describe(),
-            encoding: problem.name.to_string(),
-            time_us: stages.last().expect("pushed").dur_us,
-        };
-
-        let start = begin(&mut stages, &rec, "lint");
-        let lint_report = {
-            let _s = rec.span("lint");
-            let _t = qsmt_trace::span("lint");
-            lint_qubo(&problem.qubo, &self.lint_config)
-        };
-        let lint_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = lint_us;
-        rec.event("linted", lint_report.summary());
-        if self.deny_lint_errors {
-            Self::reject_on_errors(&lint_report)?;
-        }
-        let lint = Some(lint_report.to_stats(lint_us));
-
-        let start = begin(&mut stages, &rec, "presolve");
-        let presolve = {
-            let _s = rec.span("presolve");
-            let _t = qsmt_trace::span("presolve");
-            let reduced = qsmt_qubo::presolve(&problem.qubo);
-            let original = problem.qubo.num_vars();
-            let fixed = reduced.num_fixed();
-            PresolveStats {
-                time_us: 0, // patched below
-                original_vars: original,
-                fixed_vars: fixed,
-                reduced_vars: original - fixed,
-                reduction_ratio: if original == 0 {
-                    0.0
-                } else {
-                    fixed as f64 / original as f64
-                },
-            }
-        };
-        let presolve_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = presolve_us;
-        let presolve = PresolveStats {
-            time_us: presolve_us,
-            ..presolve
-        };
-
-        let start = begin(&mut stages, &rec, "embed");
-        let embedding = {
-            let _s = rec.span("embed");
-            let _t = qsmt_trace::span("embed");
-            self.probe_embedding(&problem.qubo)
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        if let Some(e) = &embedding {
-            rec.event(
-                "embedded",
-                format!(
-                    "{} logical → {} physical on {}",
-                    e.num_logical, e.num_physical_qubits, e.topology
-                ),
-            );
-        }
-
-        let start = begin(&mut stages, &rec, "sample");
-        // The trace span stays open until the per-read child spans are
-        // spliced in below, so their intervals nest inside it.
-        let trace_sample = qsmt_trace::span("sample");
-        let trace_base_us = qsmt_trace::active().then(qsmt_trace::now_us);
-        // Consult the cache (when attached) before paying for sampling:
-        // an exact fingerprint hit replays the cached sample set, a shape
-        // hit warm-starts a short reverse anneal, a miss samples cold.
-        let lookup = self.cache.as_ref().map(|cache| {
-            let fp = problem.qubo.fingerprint();
-            let t = std::time::Instant::now();
-            let allow_warm = self.sampler.supports_initial_state();
-            let found = cache.lookup(fp, problem.num_vars(), self.reads as u64, allow_warm);
-            (fp, found, t.elapsed().as_micros() as u64)
-        });
-        let (samples, run_stats, raw_dynamics, sampler_name, cache_outcome, insert_fp) =
-            match lookup {
-                Some((
-                    _,
-                    CacheLookup::Exact {
-                        samples,
-                        reads,
-                        seed,
-                    },
-                    lookup_us,
-                )) => {
-                    rec.event("cache", "exact hit: replaying cached sample set");
-                    (
-                        samples,
-                        qsmt_anneal::SamplerRunStats::default(),
-                        SamplerDynamics::default(),
-                        "cache",
-                        Some(("exact-hit", lookup_us, Some((reads, seed)))),
-                        None,
-                    )
-                }
-                Some((fp, CacheLookup::Warm(state), lookup_us)) => {
-                    rec.event("cache", "shape hit: warm-starting reverse anneal");
-                    let _s = rec.span("sample");
-                    // `supports_initial_state` gated the warm lookup, so
-                    // the configured sampler provides the warm variant;
-                    // fall back to a cold run if a custom sampler breaks
-                    // that contract.
-                    let warm = self.warm_sampler(state);
-                    let (samples, run_stats, raw) = warm
-                        .as_deref()
-                        .unwrap_or(&*self.sampler)
-                        .sample_dynamics(&problem.qubo, &ProbeConfig::default());
-                    (
-                        samples,
-                        run_stats,
-                        raw,
-                        self.sampler.name(),
-                        Some(("warm-start", lookup_us, None)),
-                        Some(fp),
-                    )
-                }
-                other => {
-                    let (cache_outcome, insert_fp) = match &other {
-                        Some((fp, _, lookup_us)) => (Some(("miss", *lookup_us, None)), Some(*fp)),
-                        None => (None, None),
-                    };
-                    let _s = rec.span("sample");
-                    // Trajectory probes observe, never steer: the sample
-                    // set is bit-identical to the un-probed path (pinned
-                    // by tests).
-                    let (samples, run_stats, raw) = self
-                        .sampler
-                        .sample_dynamics(&problem.qubo, &ProbeConfig::default());
-                    (
-                        samples,
-                        run_stats,
-                        raw,
-                        self.sampler.name(),
-                        cache_outcome,
-                        insert_fp,
-                    )
-                }
-            };
-        let sample_us = rec.elapsed_us() - start;
-        stages.last_mut().expect("pushed").dur_us = sample_us;
-        // Splice the sampler's per-read wall-clock intervals (measured
-        // relative to its own start) onto the trace axis as children of
-        // the still-open sample span. `trace_base_us` was captured just
-        // before sampling began, so read intervals stay contained.
-        if let Some(base_us) = trace_base_us {
-            for (i, &(offset_us, dur_us)) in raw_dynamics.read_spans.iter().enumerate() {
-                qsmt_trace::span_at(&format!("read {i}"), base_us + offset_us, dur_us);
-            }
-        }
-        drop(trace_sample);
-        let sampling = Self::sampler_stats(sampler_name, &samples, run_stats, sample_us);
-        let dynamics = Self::dynamics_stats(raw_dynamics, run_stats.acceptance_rate());
-        if let Some(d) = &dynamics {
-            rec.event(
-                "dynamics",
-                format!("{} trajectory", d.stall_verdict.as_str()),
-            );
-        }
-        let cache_stats = cache_outcome.map(|(outcome, lookup_us, source)| CacheStats {
-            outcome: outcome.to_string(),
-            lookup_us,
-            warm_sweeps: (outcome == "warm-start")
-                .then_some(run_stats.sweeps)
-                .flatten(),
-            source_reads: source.map(|(reads, _)| reads),
-            source_seed: source.map(|(_, seed)| seed),
-        });
-
-        let start = begin(&mut stages, &rec, "select");
-        let (outcome, decoded, valid_rank) = {
-            let _s = rec.span("select");
-            let _t = qsmt_trace::span("select");
-            self.select_counted(constraint, problem, samples)
-        };
-        stages.last_mut().expect("pushed").dur_us = rec.elapsed_us() - start;
-        let select = SelectStats {
-            time_us: stages.last().expect("pushed").dur_us,
-            decoded_states: decoded,
-            valid_rank,
-        };
-
-        if let Some(fp) = insert_fp {
-            self.cache_completed(fp, &outcome);
-        }
-
-        let total_us = rec.elapsed_us();
-        let report = SolveReport {
-            constraint: constraint.describe(),
-            solution: outcome.solution.to_string(),
-            energy: outcome.energy,
-            valid: outcome.valid,
-            total_us,
-            stages,
-            compile,
-            qubo: qubo_shape,
-            lint,
-            presolve,
-            embedding,
-            sampling,
-            select,
-            dynamics,
-            cache: cache_stats,
-            portfolio: None,
-            spans: rec.finish(),
-        };
-        Ok((outcome, report))
     }
 
     /// Condenses raw probe observations into the report's `dynamics`
@@ -731,7 +609,7 @@ impl StringSolver {
     pub(crate) fn sampler_stats(
         name: &str,
         samples: &SampleSet,
-        run: qsmt_anneal::SamplerRunStats,
+        run: SamplerRunStats,
         time_us: u64,
     ) -> SamplerStats {
         const TOL: f64 = 1e-9;
@@ -753,7 +631,7 @@ impl StringSolver {
         // Prefer the sampler's own timing for throughput (it excludes
         // compile/aggregation overhead the stage clock includes); fall back
         // to the stage time when the sampler didn't time itself.
-        let timed = qsmt_anneal::SamplerRunStats {
+        let timed = SamplerRunStats {
             elapsed_us: run.elapsed_us.or(Some(time_us)),
             ..run
         };
@@ -791,7 +669,7 @@ impl StringSolver {
         if n == 0 || n > 512 {
             return None;
         }
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let shape = self.cache.as_ref().map(|c| (c, model.fingerprint().shape));
         if let Some((cache, shape)) = &shape {
             if let Some((topology, emb)) = cache.embedding_get(*shape) {
@@ -827,6 +705,41 @@ impl StringSolver {
     }
 }
 
+/// Runs one report stage: times it on the recorder's clock, records it
+/// as a span on both the recorder and the active trace, and appends its
+/// [`StageTiming`]. Returns the stage's value and duration.
+pub(crate) fn stage<T>(
+    rec: &Recorder,
+    stages: &mut Vec<StageTiming>,
+    label: &'static str,
+    run: impl FnOnce() -> T,
+) -> (T, u64) {
+    let start_us = rec.elapsed_us();
+    let value = {
+        let _s = rec.span(label);
+        let _t = qsmt_trace::span(label);
+        run()
+    };
+    let dur_us = rec.elapsed_us() - start_us;
+    stages.push(StageTiming {
+        label: label.to_string(),
+        start_us,
+        dur_us,
+    });
+    (value, dur_us)
+}
+
+/// What the sampling half of a solve (solo or raced) hands the report.
+pub(crate) struct Sampled {
+    pub(crate) outcome: SolveOutcome,
+    pub(crate) embedding: Option<EmbeddingStats>,
+    pub(crate) sampling: SamplerStats,
+    pub(crate) select: SelectStats,
+    pub(crate) dynamics: Option<DynamicsStats>,
+    pub(crate) cache: Option<CacheStats>,
+    pub(crate) portfolio: Option<PortfolioStats>,
+}
+
 impl std::fmt::Debug for StringSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StringSolver")
@@ -853,35 +766,6 @@ pub struct SolveOutcome {
     pub valid: bool,
 }
 
-/// One stage of the Figure 1 pipeline trace.
-#[derive(Debug, Clone)]
-pub struct TraceStage {
-    /// Stage name (matches a box in the paper's Figure 1).
-    pub label: String,
-    /// Stage payload.
-    pub detail: String,
-}
-
-/// A full pipeline trace: input → binary variables → QUBO matrix →
-/// annealer → decoded output.
-#[derive(Debug, Clone)]
-pub struct SolveTrace {
-    /// The ordered stages.
-    pub stages: Vec<TraceStage>,
-}
-
-impl std::fmt::Display for SolveTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, stage) in self.stages.iter().enumerate() {
-            writeln!(f, "[{}] {}", i + 1, stage.label)?;
-            for line in stage.detail.lines() {
-                writeln!(f, "      {line}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,7 +777,7 @@ mod tests {
 
     #[test]
     fn solves_equality() {
-        let out = solver()
+        let (out, _) = solver()
             .solve(&Constraint::Equality {
                 target: "hi".into(),
             })
@@ -904,13 +788,13 @@ mod tests {
 
     #[test]
     fn solves_reverse_and_replace() {
-        let out = solver()
+        let (out, _) = solver()
             .solve(&Constraint::Reverse {
                 input: "abc".into(),
             })
             .unwrap();
         assert_eq!(out.solution.as_text(), Some("cba"));
-        let out = solver()
+        let (out, _) = solver()
             .solve(&Constraint::ReplaceAll {
                 input: "aba".into(),
                 from: 'a',
@@ -922,7 +806,7 @@ mod tests {
 
     #[test]
     fn solves_palindrome_with_validation() {
-        let out = solver().solve(&Constraint::Palindrome { len: 4 }).unwrap();
+        let (out, _) = solver().solve(&Constraint::Palindrome { len: 4 }).unwrap();
         assert!(out.valid, "post-selected palindrome must validate");
         let t = out.solution.as_text().unwrap();
         assert_eq!(t.chars().rev().collect::<String>(), t);
@@ -930,7 +814,7 @@ mod tests {
 
     #[test]
     fn solves_regex_with_post_selection() {
-        let out = solver()
+        let (out, _) = solver()
             .solve(&Constraint::Regex {
                 pattern: "a[bc]+".into(),
                 len: 4,
@@ -944,7 +828,7 @@ mod tests {
 
     #[test]
     fn solves_includes_index() {
-        let out = solver()
+        let (out, _) = solver()
             .solve(&Constraint::Includes {
                 haystack: "hello world".into(),
                 needle: "world".into(),
@@ -958,7 +842,7 @@ mod tests {
     fn custom_sampler_is_used() {
         let s = StringSolver::new(Arc::new(ExactSolver::new()));
         assert_eq!(s.sampler_name(), "exact");
-        let out = s
+        let (out, _) = s
             .solve(&Constraint::Equality {
                 target: "ab".into(),
             })
@@ -968,25 +852,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_contains_all_figure1_stages() {
-        let (_, trace) = solver()
-            .solve_traced(&Constraint::Equality {
-                target: "ok".into(),
-            })
-            .unwrap();
-        assert_eq!(trace.stages.len(), 5);
-        let labels: Vec<&str> = trace.stages.iter().map(|s| s.label.as_str()).collect();
-        assert!(labels[0].contains("operation"));
-        assert!(labels[2].contains("QUBO"));
-        assert!(labels[4].contains("decoded"));
-        let rendered = trace.to_string();
-        assert!(rendered.contains("[1]"));
-        assert!(rendered.contains("[5]"));
-    }
-
-    #[test]
     fn with_reads_controls_sampling_depth() {
-        let out = StringSolver::with_defaults()
+        let (out, _) = StringSolver::with_defaults()
             .with_seed(2)
             .with_reads(8)
             .solve(&Constraint::Equality {
@@ -1031,25 +898,50 @@ mod tests {
     }
 
     #[test]
-    fn reported_solve_matches_plain_solve() {
+    fn sample_sets_match_a_direct_sampler_run_at_the_same_seed() {
+        // Lint, presolve, the embedding probe, trajectory probes and the
+        // cache are observational: every sample set `solve` reports is
+        // the one a bare `Sampler::sample` of the encoded QUBO yields.
+        let direct = |c: &Constraint| {
+            SimulatedAnnealer::new()
+                .with_num_reads(64)
+                .with_sweeps(384)
+                .with_seed(42)
+                .sample(&solver().encode(c).unwrap().qubo)
+        };
         let c = Constraint::Reverse {
             input: "abc".into(),
         };
-        let plain = solver().solve(&c).unwrap();
-        let (outcome, report) = solver().solve_reported(&c).unwrap();
-        assert_eq!(outcome.solution, plain.solution);
-        assert_eq!(
-            outcome.samples, plain.samples,
-            "telemetry must not change sampling"
-        );
+        let (solo, report) = solver().solve(&c).unwrap();
+        assert_eq!(solo.samples, direct(&c), "solo solve");
         assert_eq!(report.solution, "\"cba\"");
         assert!(report.valid);
+
+        let cached = solver().with_cache(Arc::new(SolveCache::new(4)));
+        cached.solve(&c).unwrap();
+        let (replay, report) = cached.solve(&c).unwrap();
+        assert_eq!(report.cache.as_ref().unwrap().outcome, "exact-hit");
+        assert_eq!(replay.samples, direct(&c), "exact-hit replay");
+
+        let pipeline =
+            crate::Pipeline::new(crate::Start::Generate(Constraint::Palindrome { len: 3 }))
+                .then(crate::Step::Reverse)
+                .then(crate::Step::ReplaceAll { from: 'a', to: 'b' });
+        let run = pipeline.run(&solver()).unwrap();
+        assert_eq!(run.stages.len(), 3);
+        for stage in &run.stages {
+            assert_eq!(
+                stage.outcome.samples,
+                direct(&stage.constraint),
+                "pipeline stage"
+            );
+        }
     }
 
     #[test]
     fn report_carries_dynamics_from_probed_sampler() {
         let (_, report) = solver()
-            .solve_reported(&Constraint::Reverse { input: "ab".into() })
+            .solve(&Constraint::Reverse { input: "ab".into() })
             .unwrap();
         let d = report.dynamics.as_ref().expect("SA exposes dynamics");
         assert!(!d.energy_trace.is_empty());
@@ -1071,7 +963,7 @@ mod tests {
     #[test]
     fn report_stages_are_ordered_and_timed() {
         let (_, report) = solver()
-            .solve_reported(&Constraint::Equality {
+            .solve(&Constraint::Equality {
                 target: "hi".into(),
             })
             .unwrap();
@@ -1092,9 +984,7 @@ mod tests {
 
     #[test]
     fn report_carries_qubo_sampler_and_embedding_stats() {
-        let (out, report) = solver()
-            .solve_reported(&Constraint::Palindrome { len: 4 })
-            .unwrap();
+        let (out, report) = solver().solve(&Constraint::Palindrome { len: 4 }).unwrap();
         assert_eq!(report.qubo.num_vars, out.problem.num_vars());
         assert!(report.qubo.max_abs_coefficient > 0.0);
         let s = &report.sampling;
@@ -1118,15 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn reported_solve_propagates_encode_errors() {
-        assert!(solver()
-            .solve_reported(&Constraint::Equality {
-                target: "héllo".into()
-            })
-            .is_err());
-    }
-
-    #[test]
     fn lint_is_clean_on_sound_formulations() {
         let report = solver()
             .lint(&Constraint::Reverse {
@@ -1138,20 +1019,23 @@ mod tests {
 
     #[test]
     fn deny_mode_passes_sound_encodings_and_reports_lint_stage() {
-        let s = solver().with_deny_lint_errors(true);
-        let out = s
-            .solve(&Constraint::Equality {
-                target: "hi".into(),
-            })
-            .unwrap();
-        assert!(out.valid);
-        let (_, report) = s
-            .solve_reported(&Constraint::Equality {
-                target: "hi".into(),
-            })
-            .unwrap();
-        let lint = report.lint.as_ref().expect("reported solve always lints");
-        assert_eq!(lint.errors, 0);
+        // Solo and raced solves gate on the lint stage's own report.
+        for s in [
+            solver().with_deny_lint_errors(true),
+            solver()
+                .with_deny_lint_errors(true)
+                .with_portfolio(Portfolio::new()),
+        ] {
+            let (out, report) = s
+                .solve(&Constraint::Equality {
+                    target: "hi".into(),
+                })
+                .unwrap();
+            assert!(out.valid);
+            let lint = report.lint.as_ref().expect("every solve lints");
+            assert_eq!(lint.errors, 0);
+            assert_eq!(report.stages[1].label, "lint");
+        }
     }
 
     #[test]
@@ -1198,7 +1082,7 @@ mod tests {
         // A tripped flag cancels before the first sweep: a read budget
         // this size would otherwise take far longer than the assertion
         // allows, and the call still returns a well-formed outcome.
-        let out = s
+        let (out, _) = s
             .solve(&Constraint::Equality {
                 target: "hello".into(),
             })
@@ -1221,7 +1105,7 @@ mod tests {
             .solve(&Constraint::Equality {
                 target: "abc".into(),
             });
-        let (plain, flagged) = (plain.unwrap(), flagged.unwrap());
+        let (plain, flagged) = (plain.unwrap().0, flagged.unwrap().0);
         assert_eq!(plain.solution, flagged.solution);
         assert_eq!(plain.energy, flagged.energy);
     }
@@ -1276,9 +1160,9 @@ mod tests {
         let cache = Arc::new(SolveCache::new(16));
         let s = StringSolver::new(counting).with_cache(cache);
         let c = Constraint::Reverse { input: "ab".into() };
-        let cold = s.solve(&c).unwrap();
+        let (cold, _) = s.solve(&c).unwrap();
         assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-        let hit = s.solve(&c).unwrap();
+        let (hit, _) = s.solve(&c).unwrap();
         assert_eq!(
             calls.load(std::sync::atomic::Ordering::SeqCst),
             1,
@@ -1303,7 +1187,7 @@ mod tests {
         // Same shape, different coefficients: a warm start. The counter
         // advancing proves the custom sampler (via its warm variant) ran
         // the refinement — not a silently substituted built-in annealer.
-        let warm = s
+        let (warm, _) = s
             .solve(&Constraint::Reverse { input: "cd".into() })
             .unwrap();
         assert_eq!(
@@ -1328,7 +1212,7 @@ mod tests {
             .unwrap();
         // … then ask for more reads: the cached 8-read set must not be
         // replayed; the shape entry warm-starts a solve at full budget.
-        let out = StringSolver::with_defaults()
+        let (out, _) = StringSolver::with_defaults()
             .with_seed(11)
             .with_reads(64)
             .with_cache(cache)
@@ -1369,7 +1253,7 @@ mod tests {
 
         // Cold solve: a miss that runs the full 384-sweep schedule.
         let c = Constraint::Reverse { input: "ab".into() };
-        let (cold_out, cold) = s.solve_reported(&c).unwrap();
+        let (cold_out, cold) = s.solve(&c).unwrap();
         let stats = cold.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "miss");
         assert_eq!(stats.warm_sweeps, None);
@@ -1378,7 +1262,7 @@ mod tests {
         assert_eq!(cold_sweeps, 384);
 
         // Exact repeat: replayed from cache, sampler labelled as such.
-        let (hit_out, hit) = s.solve_reported(&c).unwrap();
+        let (hit_out, hit) = s.solve(&c).unwrap();
         let stats = hit.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "exact-hit");
         assert_eq!(hit.sampling.sampler, "cache");
@@ -1391,7 +1275,7 @@ mod tests {
         // Same shape, different coefficients: the cached ground state
         // seeds a short reverse anneal instead of a cold run.
         let near = Constraint::Reverse { input: "cd".into() };
-        let (warm_out, warm) = s.solve_reported(&near).unwrap();
+        let (warm_out, warm) = s.solve(&near).unwrap();
         let stats = warm.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "warm-start");
         let warm_sweeps = stats.warm_sweeps.expect("warm starts report sweeps");
@@ -1409,7 +1293,7 @@ mod tests {
         // needle — decoded index will not match find() == None unless the
         // annealer lands on the all-zero state; either way valid reflects
         // the truth.
-        let out = solver()
+        let (out, _) = solver()
             .solve(&Constraint::Includes {
                 haystack: "xyz".into(),
                 needle: "ab".into(),

@@ -10,7 +10,7 @@
 //! so the verdict stays sound).
 //!
 //! [`AbsintRun`] packages the timed analysis for the pipeline:
-//! [`Script::solve_absint`](crate::Script::solve_absint) runs it before
+//! [`Script::solve`](crate::Script::solve) runs it before
 //! compilation, returns `unsat` outright when the replay checker
 //! confirms the certificate, and otherwise applies the domain
 //! tightenings to the compiled goals via [`apply_tightenings`] so

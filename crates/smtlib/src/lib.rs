@@ -28,9 +28,10 @@
 //!     (check-sat)
 //!     (get-model)
 //! "#).unwrap();
-//! let out = script.solve(&StringSolver::with_defaults().with_seed(3)).unwrap();
-//! assert_eq!(out.status, SatStatus::Sat);
-//! assert_eq!(out.model[0].1.to_string(), "\"olleh\"");
+//! let run = script.solve(&StringSolver::with_defaults().with_seed(3), true).unwrap();
+//! assert_eq!(run.outcome.status, SatStatus::Sat);
+//! assert_eq!(run.outcome.model[0].1.to_string(), "\"olleh\"");
+//! assert_eq!(run.served_from(), "solver");
 //! ```
 
 #![warn(missing_docs)]
@@ -47,5 +48,5 @@ pub use absint::{apply_tightenings, lower, AbsintRun};
 pub use ast::{AstError, Command, RegLan, Sort, Term};
 pub use compile::{compile, reglan_to_regex, CompileError, Goal};
 pub use lexer::{lex, LexError, Token};
-pub use script::{GoalLint, ModelValue, SatStatus, Script, ScriptError, ScriptOutcome};
+pub use script::{GoalLint, ModelValue, SatStatus, Script, ScriptError, ScriptOutcome, ScriptRun};
 pub use sexpr::{parse_sexprs, SExpr, SExprError};

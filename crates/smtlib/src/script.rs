@@ -1,9 +1,12 @@
 //! Script driver: parse → compile → solve → model.
 
+use crate::absint::{apply_tightenings, AbsintRun};
 use crate::ast::{parse_command, Command};
 use crate::compile::{compile, CompileError, Goal};
 use crate::sexpr::{parse_sexprs, SExprError};
 use qsmt_core::{ConstraintError, Portfolio, PortfolioPlan, ScriptFacts, StringSolver};
+use qsmt_telemetry::{GoalKind, GoalReport};
+use std::borrow::Cow;
 
 /// A parsed SMT-LIB script.
 #[derive(Debug, Clone)]
@@ -80,13 +83,68 @@ impl std::fmt::Display for ModelValue {
     }
 }
 
-/// The result of running a script.
+/// The verdict and model of a script run.
 #[derive(Debug, Clone)]
 pub struct ScriptOutcome {
     /// The check-sat verdict.
     pub status: SatStatus,
     /// Variable assignments, in declaration order.
     pub model: Vec<(String, ModelValue)>,
+}
+
+/// Everything one run of a script produces ([`Script::solve`]).
+#[derive(Debug, Clone)]
+pub struct ScriptRun {
+    /// The verdict and model.
+    pub outcome: ScriptOutcome,
+    /// One report per solved goal, in goal order.
+    pub goals: Vec<GoalReport>,
+    /// The abstract-interpretation run, when absint was on.
+    pub absint: Option<AbsintRun>,
+}
+
+impl ScriptRun {
+    fn unsat(goals: Vec<GoalReport>, absint: Option<AbsintRun>) -> Self {
+        Self {
+            outcome: ScriptOutcome {
+                status: SatStatus::Unsat,
+                model: Vec::new(),
+            },
+            goals,
+            absint,
+        }
+    }
+
+    /// The run's provenance — the report's `served_from` — in decision
+    /// order: a confirmed static refutation never touches a sampler
+    /// (`absint`); a raced run is attributed to the member that won its
+    /// races (`portfolio:<member>`, or `portfolio:mixed` when goals were
+    /// won by different members); a run is served from `cache` only when
+    /// nothing sampled (at least one solve, every solve an exact hit);
+    /// anything else is the `solver`'s work.
+    pub fn served_from(&self) -> String {
+        if self.absint.as_ref().is_some_and(AbsintRun::is_refuted) {
+            return "absint".to_string();
+        }
+        let mut solves = self.goals.iter().flat_map(|g| &g.solves).peekable();
+        let mut winners: Vec<&str> = solves
+            .clone()
+            .filter_map(|s| s.portfolio.as_ref())
+            .map(|p| p.winner.as_str())
+            .collect();
+        winners.sort_unstable();
+        winners.dedup();
+        match winners[..] {
+            [one] => format!("portfolio:{one}"),
+            [_, _, ..] => "portfolio:mixed".to_string(),
+            [] if solves.peek().is_some()
+                && solves.all(|s| s.cache.as_ref().is_some_and(|c| c.outcome == "exact-hit")) =>
+            {
+                "cache".to_string()
+            }
+            [] => "solver".to_string(),
+        }
+    }
 }
 
 impl Script {
@@ -117,268 +175,159 @@ impl Script {
         compile(&self.commands).map_err(ScriptError::Compile)
     }
 
-    /// Runs the script against a solver, producing a verdict and model.
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve(&self, solver: &StringSolver) -> Result<ScriptOutcome, ScriptError> {
-        let goals = self.compile()?;
-        Self::solve_goals(&goals, solver)
-    }
-
     /// Runs the abstract-interpretation pass over the script (see
     /// `docs/ABSINT.md`): lowering, fixpoint, certificate, tightenings,
     /// and routing features. Purely static — no QUBO is built.
-    pub fn absint(&self) -> crate::absint::AbsintRun {
-        crate::absint::AbsintRun::over(&self.commands)
+    pub fn absint(&self) -> AbsintRun {
+        AbsintRun::over(&self.commands)
     }
 
-    /// Like [`Script::solve`], but runs the abstract-interpretation
-    /// pass first. A statically refuted script (certificate confirmed
-    /// by the replay checker) returns `unsat` without compiling
-    /// anything; otherwise the derived domain tightenings are applied
-    /// to the compiled goals so pinned positions never reach the
-    /// sampler. The returned [`AbsintRun`](crate::absint::AbsintRun)
-    /// carries the verdict, certificate, and accounting either way.
+    /// Runs the script against a solver: the one entry point behind
+    /// `qsmt solve` (every flag combination) and the serve loop.
+    ///
+    /// With `absint` on, the abstract-interpretation pass runs first. A
+    /// statically refuted script (certificate confirmed by the replay
+    /// checker) returns `unsat` without compiling anything; otherwise the
+    /// derived domain tightenings are applied to the compiled goals so
+    /// pinned positions never reach the sampler, and the absint feature
+    /// summary reaches the portfolio router as the solver's
+    /// [`ScriptFacts`].
+    ///
+    /// Every goal is then solved through [`StringSolver::solve`] (or
+    /// [`qsmt_core::Pipeline::run`]), racing when the solver has a
+    /// [`Portfolio`] attached. On an unsat verdict the goals reported so
+    /// far are returned: the goal that proved unsat at encode time never
+    /// ran a sampler, so it has no report.
     ///
     /// # Errors
     /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_absint(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<(ScriptOutcome, crate::absint::AbsintRun), ScriptError> {
-        let mut run = self.absint();
-        if run.is_refuted() {
-            return Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                run,
-            ));
-        }
-        let goals = self.compile()?;
-        let (goals, eliminated) = crate::absint::apply_tightenings(goals, &run.analysis);
-        run.vars_eliminated = eliminated;
-        let out = Self::solve_goals(&goals, solver)?;
-        Ok((out, run))
-    }
-
-    fn solve_goals(goals: &[Goal], solver: &StringSolver) -> Result<ScriptOutcome, ScriptError> {
-        let mut model = Vec::with_capacity(goals.len());
-        let mut status = SatStatus::Sat;
-        for goal in goals {
-            match goal {
-                Goal::StringConstraint { name, constraint } => match solver.solve(constraint) {
-                    Ok(out) => {
-                        if !out.valid {
-                            status = SatStatus::Unknown;
-                        }
-                        let text = out.solution.as_text().unwrap_or_default().to_string();
-                        model.push((name.clone(), ModelValue::Str(text)));
-                    }
-                    Err(e) if is_unsat(&e) => {
-                        return Ok(ScriptOutcome {
-                            status: SatStatus::Unsat,
-                            model: Vec::new(),
-                        })
-                    }
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::StringPipeline { name, pipeline } => match pipeline.run(solver) {
-                    Ok(report) => {
-                        if !report.all_valid() {
-                            status = SatStatus::Unknown;
-                        }
-                        model.push((name.clone(), ModelValue::Str(report.final_text)));
-                    }
-                    Err(e) if is_unsat(&e) => {
-                        return Ok(ScriptOutcome {
-                            status: SatStatus::Unsat,
-                            model: Vec::new(),
-                        })
-                    }
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::IndexQuery { name, constraint } => match solver.solve(constraint) {
-                    Ok(out) => {
-                        if !out.valid {
-                            status = SatStatus::Unknown;
-                        }
-                        model.push((name.clone(), ModelValue::Int(out.solution.as_index())));
-                    }
-                    Err(e) if is_unsat(&e) => {
-                        return Ok(ScriptOutcome {
-                            status: SatStatus::Unsat,
-                            model: Vec::new(),
-                        })
-                    }
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-            }
-        }
-        Ok(ScriptOutcome { status, model })
-    }
-
-    /// Like [`Script::solve`], additionally returning one
-    /// [`GoalReport`](qsmt_telemetry::GoalReport) per goal with the full
-    /// per-stage telemetry of every solver invocation. This is the entry
-    /// point behind `qsmt solve --stats/--report`; see
-    /// `docs/OBSERVABILITY.md` for the report schema.
-    ///
-    /// On an unsat verdict the goals reported so far are returned (the
-    /// goal that proved unsat at encode time never ran a sampler, so it
-    /// has no report).
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_reported(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<(ScriptOutcome, Vec<qsmt_telemetry::GoalReport>), ScriptError> {
-        let goals = self.compile()?;
-        Self::solve_goals_reported(&goals, solver)
-    }
-
-    /// Like [`Script::solve_reported`], but with the
-    /// abstract-interpretation pass in front, exactly as in
-    /// [`Script::solve_absint`]: statically refuted scripts return
-    /// `unsat` with no goal reports, and tightenings shrink the QUBOs
-    /// of everything else. This is the entry point behind the default
-    /// `qsmt solve` and the serve loop.
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_reported_absint(
-        &self,
-        solver: &StringSolver,
-    ) -> Result<
-        (
-            ScriptOutcome,
-            Vec<qsmt_telemetry::GoalReport>,
-            crate::absint::AbsintRun,
-        ),
-        ScriptError,
-    > {
-        let mut run = {
+    pub fn solve(&self, solver: &StringSolver, absint: bool) -> Result<ScriptRun, ScriptError> {
+        let mut run = absint.then(|| {
             let _t = qsmt_trace::span("absint");
             self.absint()
-        };
-        if run.is_refuted() {
-            return Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                Vec::new(),
-                run,
-            ));
+        });
+        if run.as_ref().is_some_and(AbsintRun::is_refuted) {
+            return Ok(ScriptRun::unsat(Vec::new(), run));
         }
-        let goals = self.compile()?;
-        let (goals, eliminated) = crate::absint::apply_tightenings(goals, &run.analysis);
-        run.vars_eliminated = eliminated;
-        let (out, reports) = Self::solve_goals_reported(&goals, solver)?;
-        Ok((out, reports, run))
-    }
-
-    fn solve_goals_reported(
-        goals: &[Goal],
-        solver: &StringSolver,
-    ) -> Result<(ScriptOutcome, Vec<qsmt_telemetry::GoalReport>), ScriptError> {
-        use qsmt_telemetry::{GoalKind, GoalReport};
+        let mut goals = self.compile()?;
+        let mut solver = Cow::Borrowed(solver);
+        if let Some(run) = &mut run {
+            (goals, run.vars_eliminated) = apply_tightenings(goals, &run.analysis);
+            solver = Cow::Owned(
+                solver
+                    .into_owned()
+                    .with_script_facts(Self::script_facts(run)),
+            );
+        }
 
         let mut model = Vec::with_capacity(goals.len());
         let mut reports = Vec::with_capacity(goals.len());
         let mut status = SatStatus::Sat;
-        let unsat = |reports: Vec<GoalReport>| {
-            Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                reports,
-            ))
-        };
-        for goal in goals {
-            let goal_name = match goal {
-                Goal::StringConstraint { name, .. }
-                | Goal::StringPipeline { name, .. }
-                | Goal::IndexQuery { name, .. } => name,
-            };
+        for goal in &goals {
             // Gate the label format behind an active trace so untraced
             // solves pay nothing here.
             let _goal_span =
-                qsmt_trace::active().then(|| qsmt_trace::span_dyn(format!("goal {goal_name}")));
-            match goal {
-                Goal::StringConstraint { name, constraint } => {
-                    match solver.solve_reported(constraint) {
-                        Ok((out, report)) => {
-                            if !out.valid {
-                                status = SatStatus::Unknown;
-                            }
-                            let text = out.solution.as_text().unwrap_or_default().to_string();
-                            model.push((name.clone(), ModelValue::Str(text.clone())));
-                            reports.push(GoalReport {
-                                name: name.clone(),
-                                kind: GoalKind::Constraint,
-                                answer: text,
-                                valid: out.valid,
-                                total_us: report.total_us,
-                                solves: vec![report],
-                            });
-                        }
-                        Err(e) if is_unsat(&e) => return unsat(reports),
-                        Err(e) => return Err(ScriptError::Encode(e)),
-                    }
+                qsmt_trace::active().then(|| qsmt_trace::span_dyn(format!("goal {}", goal.name())));
+            let solved = match goal {
+                Goal::StringConstraint { constraint, .. } => {
+                    solver.solve(constraint).map(|(out, report)| {
+                        let text = out.solution.as_text().unwrap_or_default().to_string();
+                        (
+                            ModelValue::Str(text),
+                            GoalKind::Constraint,
+                            out.valid,
+                            vec![report],
+                        )
+                    })
                 }
-                Goal::StringPipeline { name, pipeline } => match pipeline.run_reported(solver) {
-                    Ok((report, solves)) => {
-                        if !report.all_valid() {
-                            status = SatStatus::Unknown;
-                        }
-                        let valid = report.all_valid();
-                        model.push((name.clone(), ModelValue::Str(report.final_text.clone())));
-                        reports.push(GoalReport {
-                            name: name.clone(),
-                            kind: GoalKind::Pipeline,
-                            answer: report.final_text,
-                            valid,
-                            total_us: solves.iter().map(|s| s.total_us).sum(),
-                            solves,
-                        });
-                    }
-                    Err(e) if is_unsat(&e) => return unsat(reports),
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::IndexQuery { name, constraint } => match solver.solve_reported(constraint) {
-                    Ok((out, report)) => {
-                        if !out.valid {
-                            status = SatStatus::Unknown;
-                        }
+                Goal::IndexQuery { constraint, .. } => {
+                    solver.solve(constraint).map(|(out, report)| {
                         let value = ModelValue::Int(out.solution.as_index());
-                        let answer = value.to_string();
-                        model.push((name.clone(), value));
-                        reports.push(GoalReport {
-                            name: name.clone(),
-                            kind: GoalKind::IndexQuery,
-                            answer,
-                            valid: out.valid,
-                            total_us: report.total_us,
-                            solves: vec![report],
-                        });
-                    }
-                    Err(e) if is_unsat(&e) => return unsat(reports),
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
+                        (value, GoalKind::IndexQuery, out.valid, vec![report])
+                    })
+                }
+                Goal::StringPipeline { pipeline, .. } => pipeline.run(&solver).map(|run| {
+                    let valid = run.all_valid();
+                    let solves = run.stages.into_iter().map(|s| s.report).collect();
+                    (
+                        ModelValue::Str(run.final_text),
+                        GoalKind::Pipeline,
+                        valid,
+                        solves,
+                    )
+                }),
+            };
+            let (value, kind, valid, solves) = match solved {
+                Ok(solved) => solved,
+                Err(e) if is_unsat(&e) => return Ok(ScriptRun::unsat(reports, run)),
+                Err(e) => return Err(ScriptError::Encode(e)),
+            };
+            if !valid {
+                status = SatStatus::Unknown;
             }
+            reports.push(GoalReport {
+                name: goal.name().to_string(),
+                kind,
+                answer: match &value {
+                    ModelValue::Str(text) => text.clone(),
+                    ModelValue::Int(_) => value.to_string(),
+                },
+                valid,
+                total_us: solves.iter().map(|s| s.total_us).sum(),
+                solves,
+            });
+            model.push((goal.name().to_string(), value));
         }
-        Ok((ScriptOutcome { status, model }, reports))
+        Ok(ScriptRun {
+            outcome: ScriptOutcome { status, model },
+            goals: reports,
+            absint: run,
+        })
+    }
+
+    /// [`Script::solve`] with absint on, keeping only the model and the
+    /// absint run. Kept because `perfbench/layers` links this signature.
+    ///
+    /// # Errors
+    /// As [`Script::solve`].
+    pub fn solve_absint(
+        &self,
+        solver: &StringSolver,
+    ) -> Result<(ScriptOutcome, AbsintRun), ScriptError> {
+        self.solve(solver, true)
+            .map(|r| (r.outcome, r.absint.expect("absint ran")))
+    }
+
+    /// [`Script::solve`] with absint on, as a tuple. Kept because
+    /// `perfbench/layers` links this signature.
+    ///
+    /// # Errors
+    /// As [`Script::solve`].
+    pub fn solve_reported_absint(
+        &self,
+        solver: &StringSolver,
+    ) -> Result<(ScriptOutcome, Vec<GoalReport>, AbsintRun), ScriptError> {
+        self.solve(solver, true)
+            .map(|r| (r.outcome, r.goals, r.absint.expect("absint ran")))
+    }
+
+    /// [`Script::solve_reported_absint`] over the solver with `portfolio`
+    /// attached. Kept because `perfbench/layers` links this signature.
+    ///
+    /// # Errors
+    /// As [`Script::solve`].
+    pub fn solve_portfolio_reported_absint(
+        &self,
+        solver: &StringSolver,
+        portfolio: &Portfolio,
+    ) -> Result<(ScriptOutcome, Vec<GoalReport>, AbsintRun), ScriptError> {
+        self.solve_reported_absint(&solver.clone().with_portfolio(portfolio.clone()))
     }
 
     /// Lifts the absint feature vector into the core router's
     /// [`ScriptFacts`] so script-level structure (regex membership,
     /// pinned positions, admissible-character widths) can steer routing.
-    pub fn script_facts(run: &crate::absint::AbsintRun) -> ScriptFacts {
+    pub fn script_facts(run: &AbsintRun) -> ScriptFacts {
         let f = &run.analysis.features;
         ScriptFacts {
             string_vars: f.string_vars,
@@ -390,156 +339,11 @@ impl Script {
         }
     }
 
-    /// Like [`Script::solve_reported_absint`], but string-constraint and
-    /// index-query goals are solved by racing a routed portfolio
-    /// ([`StringSolver::solve_portfolio_reported`]); their reports carry
-    /// the schema-v9 `portfolio` section. Pipeline goals run the normal
-    /// single-strategy path — each stage feeds the next, so there is no
-    /// independent race to win.
-    ///
-    /// # Errors
-    /// Propagates compilation errors and non-unsat encoding errors.
-    pub fn solve_portfolio_reported_absint(
-        &self,
-        solver: &StringSolver,
-        portfolio: &Portfolio,
-    ) -> Result<
-        (
-            ScriptOutcome,
-            Vec<qsmt_telemetry::GoalReport>,
-            crate::absint::AbsintRun,
-        ),
-        ScriptError,
-    > {
-        let mut run = {
-            let _t = qsmt_trace::span("absint");
-            self.absint()
-        };
-        if run.is_refuted() {
-            return Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                Vec::new(),
-                run,
-            ));
-        }
-        let facts = Self::script_facts(&run);
-        let goals = self.compile()?;
-        let (goals, eliminated) = crate::absint::apply_tightenings(goals, &run.analysis);
-        run.vars_eliminated = eliminated;
-        let (out, reports) =
-            Self::solve_goals_portfolio_reported(&goals, solver, portfolio, &facts)?;
-        Ok((out, reports, run))
-    }
-
-    fn solve_goals_portfolio_reported(
-        goals: &[Goal],
-        solver: &StringSolver,
-        portfolio: &Portfolio,
-        facts: &ScriptFacts,
-    ) -> Result<(ScriptOutcome, Vec<qsmt_telemetry::GoalReport>), ScriptError> {
-        use qsmt_telemetry::{GoalKind, GoalReport};
-
-        let mut model = Vec::with_capacity(goals.len());
-        let mut reports = Vec::with_capacity(goals.len());
-        let mut status = SatStatus::Sat;
-        let unsat = |reports: Vec<GoalReport>| {
-            Ok((
-                ScriptOutcome {
-                    status: SatStatus::Unsat,
-                    model: Vec::new(),
-                },
-                reports,
-            ))
-        };
-        for goal in goals {
-            let goal_name = match goal {
-                Goal::StringConstraint { name, .. }
-                | Goal::StringPipeline { name, .. }
-                | Goal::IndexQuery { name, .. } => name,
-            };
-            let _goal_span =
-                qsmt_trace::active().then(|| qsmt_trace::span_dyn(format!("goal {goal_name}")));
-            match goal {
-                Goal::StringConstraint { name, constraint } => {
-                    match solver.solve_portfolio_reported(constraint, portfolio, Some(facts)) {
-                        Ok((out, report)) => {
-                            if !out.outcome.valid {
-                                status = SatStatus::Unknown;
-                            }
-                            let text = out
-                                .outcome
-                                .solution
-                                .as_text()
-                                .unwrap_or_default()
-                                .to_string();
-                            model.push((name.clone(), ModelValue::Str(text.clone())));
-                            reports.push(GoalReport {
-                                name: name.clone(),
-                                kind: GoalKind::Constraint,
-                                answer: text,
-                                valid: out.outcome.valid,
-                                total_us: report.total_us,
-                                solves: vec![report],
-                            });
-                        }
-                        Err(e) if is_unsat(&e) => return unsat(reports),
-                        Err(e) => return Err(ScriptError::Encode(e)),
-                    }
-                }
-                Goal::StringPipeline { name, pipeline } => match pipeline.run_reported(solver) {
-                    Ok((report, solves)) => {
-                        if !report.all_valid() {
-                            status = SatStatus::Unknown;
-                        }
-                        let valid = report.all_valid();
-                        model.push((name.clone(), ModelValue::Str(report.final_text.clone())));
-                        reports.push(GoalReport {
-                            name: name.clone(),
-                            kind: GoalKind::Pipeline,
-                            answer: report.final_text,
-                            valid,
-                            total_us: solves.iter().map(|s| s.total_us).sum(),
-                            solves,
-                        });
-                    }
-                    Err(e) if is_unsat(&e) => return unsat(reports),
-                    Err(e) => return Err(ScriptError::Encode(e)),
-                },
-                Goal::IndexQuery { name, constraint } => {
-                    match solver.solve_portfolio_reported(constraint, portfolio, Some(facts)) {
-                        Ok((out, report)) => {
-                            if !out.outcome.valid {
-                                status = SatStatus::Unknown;
-                            }
-                            let value = ModelValue::Int(out.outcome.solution.as_index());
-                            let answer = value.to_string();
-                            model.push((name.clone(), value));
-                            reports.push(GoalReport {
-                                name: name.clone(),
-                                kind: GoalKind::IndexQuery,
-                                answer,
-                                valid: out.outcome.valid,
-                                total_us: report.total_us,
-                                solves: vec![report],
-                            });
-                        }
-                        Err(e) if is_unsat(&e) => return unsat(reports),
-                        Err(e) => return Err(ScriptError::Encode(e)),
-                    }
-                }
-            }
-        }
-        Ok((ScriptOutcome { status, model }, reports))
-    }
-
     /// The routed portfolio plan for every goal a portfolio run would
     /// race, without racing anything: the deterministic routing record
     /// snapshotted by `benchmarks/portfolio_expected.json`. Uses the
-    /// same absint-tightened goals and script facts as
-    /// [`Script::solve_portfolio_reported_absint`]. Pipeline goals never
+    /// same absint-tightened goals and script facts as a raced
+    /// [`Script::solve`]. Pipeline goals never
     /// race, so their plan is `None`; a statically refuted script
     /// returns an empty list.
     ///
@@ -554,15 +358,15 @@ impl Script {
         if run.is_refuted() {
             return Ok(Vec::new());
         }
-        let facts = Self::script_facts(&run);
+        let solver = solver.clone().with_script_facts(Self::script_facts(&run));
         let goals = self.compile()?;
-        let (goals, _) = crate::absint::apply_tightenings(goals, &run.analysis);
+        let (goals, _) = apply_tightenings(goals, &run.analysis);
         let mut plans = Vec::with_capacity(goals.len());
         for goal in &goals {
             match goal {
                 Goal::StringConstraint { name, constraint }
                 | Goal::IndexQuery { name, constraint } => {
-                    match solver.routing_features(constraint, Some(&facts)) {
+                    match solver.routing_features(constraint) {
                         Ok(features) => {
                             plans.push((name.clone(), Some(portfolio.router().route(&features))));
                         }
@@ -667,7 +471,7 @@ mod tests {
              (check-sat)(get-model)",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = script.solve(&solver(), false).unwrap().outcome;
         assert_eq!(out.status, SatStatus::Sat);
         assert_eq!(out.model, vec![("x".into(), ModelValue::Str("hi".into()))]);
     }
@@ -679,7 +483,7 @@ mod tests {
              (assert (= x (str.replace_all (str.++ \"hello\" \" \" \"world\") \"l\" \"x\")))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = script.solve(&solver(), false).unwrap().outcome;
         assert_eq!(out.status, SatStatus::Sat);
         assert_eq!(
             out.model,
@@ -695,7 +499,7 @@ mod tests {
              (assert (= (str.len p) 4))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = script.solve(&solver(), false).unwrap().outcome;
         assert_eq!(out.status, SatStatus::Sat);
         let ModelValue::Str(p) = &out.model[0].1 else {
             panic!()
@@ -712,7 +516,7 @@ mod tests {
              (assert (= (str.len r) 4))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = script.solve(&solver(), false).unwrap().outcome;
         assert_eq!(out.status, SatStatus::Sat);
         let ModelValue::Str(r) = &out.model[0].1 else {
             panic!()
@@ -728,13 +532,13 @@ mod tests {
              (assert (= i (str.indexof \"hello world\" \"world\" 0)))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = script.solve(&solver(), false).unwrap().outcome;
         assert_eq!(out.status, SatStatus::Sat);
         assert_eq!(out.model, vec![("i".into(), ModelValue::Int(Some(6)))]);
     }
 
     #[test]
-    fn reported_solve_matches_solve_and_labels_goal_kinds() {
+    fn solve_reports_every_goal_and_labels_goal_kinds() {
         let script = Script::parse(
             "(declare-const x String)\
              (assert (= x (str.rev \"ab\")))\
@@ -742,28 +546,40 @@ mod tests {
              (assert (= i (str.indexof \"hello\" \"llo\" 0)))",
         )
         .unwrap();
-        let plain = script.solve(&solver()).unwrap();
-        let (reported, goals) = script.solve_reported(&solver()).unwrap();
-        assert_eq!(plain.status, reported.status);
-        assert_eq!(plain.model, reported.model);
+        let run = script.solve(&solver(), false).unwrap();
+        assert_eq!(run.outcome.status, SatStatus::Sat);
+        assert!(run.absint.is_none());
+        let goals = &run.goals;
         assert_eq!(goals.len(), 2);
-        assert_eq!(goals[0].kind, qsmt_telemetry::GoalKind::Pipeline);
-        assert_eq!(goals[1].kind, qsmt_telemetry::GoalKind::IndexQuery);
+        assert_eq!(goals[0].kind, GoalKind::Pipeline);
+        assert_eq!(goals[1].kind, GoalKind::IndexQuery);
+        assert_eq!(goals[0].answer, "ba");
+        assert_eq!(goals[1].answer, "2");
+        assert_eq!(
+            run.outcome.model,
+            vec![
+                ("x".into(), ModelValue::Str("ba".into())),
+                ("i".into(), ModelValue::Int(Some(2)))
+            ]
+        );
         assert!(goals.iter().all(|g| g.valid));
         assert!(goals.iter().all(|g| !g.solves.is_empty()));
     }
 
     #[test]
-    fn reported_unsat_returns_partial_goal_reports() {
+    fn unsat_returns_partial_goal_reports() {
         let script = Script::parse(
             "(declare-const r String)\
              (assert (str.in_re r (str.to_re \"abc\")))\
              (assert (= (str.len r) 2))",
         )
         .unwrap();
-        let (out, goals) = script.solve_reported(&solver()).unwrap();
-        assert_eq!(out.status, SatStatus::Unsat);
-        assert!(goals.is_empty(), "the unsat goal never reached the sampler");
+        let run = script.solve(&solver(), false).unwrap();
+        assert_eq!(run.outcome.status, SatStatus::Unsat);
+        assert!(
+            run.goals.is_empty(),
+            "the unsat goal never reached the sampler"
+        );
     }
 
     #[test]
@@ -774,7 +590,7 @@ mod tests {
              (assert (= (str.len r) 2))",
         )
         .unwrap();
-        let out = script.solve(&solver()).unwrap();
+        let out = script.solve(&solver(), false).unwrap().outcome;
         assert_eq!(out.status, SatStatus::Unsat);
     }
 
@@ -823,14 +639,14 @@ mod tests {
              (assert (= (str.len s) 3))",
         )
         .unwrap();
-        let (out, run) = script.solve_absint(&solver()).unwrap();
-        assert_eq!(out.status, SatStatus::Unsat);
-        assert!(out.model.is_empty());
-        assert!(run.is_refuted());
-        assert!(run.analysis.verify_certificate().is_ok());
-        let (rout, reports, _) = script.solve_reported_absint(&solver()).unwrap();
-        assert_eq!(rout.status, SatStatus::Unsat);
-        assert!(reports.is_empty());
+        let run = script.solve(&solver(), true).unwrap();
+        assert_eq!(run.outcome.status, SatStatus::Unsat);
+        assert!(run.outcome.model.is_empty());
+        assert!(run.goals.is_empty());
+        let absint = run.absint.as_ref().expect("absint ran");
+        assert!(absint.is_refuted());
+        assert!(absint.analysis.verify_certificate().is_ok());
+        assert_eq!(run.served_from(), "absint");
     }
 
     #[test]
@@ -845,11 +661,44 @@ mod tests {
         let (out, run) = script.solve_absint(&solver()).unwrap();
         assert_eq!(out.status, SatStatus::Sat);
         assert_eq!(run.vars_eliminated, 14);
+        // The other kept signatures agree with the one entry point.
+        let (reported, goals, _) = script.solve_reported_absint(&solver()).unwrap();
+        assert_eq!(reported.model, out.model);
+        assert_eq!(goals.len(), 1);
         let ModelValue::Str(s) = &out.model[0].1 else {
             panic!("string model expected");
         };
         assert_eq!(s.len(), 4);
         assert!(s.starts_with('q') && s.as_bytes()[2] == b'z', "{s:?}");
+    }
+
+    #[test]
+    fn served_from_covers_solver_cache_and_portfolio_attribution() {
+        // Two small goals absint leaves open: both route to (and are won
+        // by) the exact enumerator when raced.
+        let script = Script::parse(
+            "(declare-const x String)\
+             (assert (= x (str.rev x)))\
+             (assert (= (str.len x) 2))\
+             (declare-const y String)\
+             (assert (= y (str.rev y)))\
+             (assert (= (str.len y) 2))",
+        )
+        .unwrap();
+        let plain = script.solve(&solver(), true).unwrap();
+        assert_eq!(plain.goals.len(), 2);
+        assert_eq!(plain.served_from(), "solver");
+
+        let cached = solver().with_cache(std::sync::Arc::new(qsmt_core::SolveCache::new(8)));
+        assert_eq!(script.solve(&cached, true).unwrap().served_from(), "solver");
+        assert_eq!(script.solve(&cached, true).unwrap().served_from(), "cache");
+
+        let raced = solver().with_portfolio(Portfolio::new());
+        let mut run = script.solve(&raced, true).unwrap();
+        assert_eq!(run.served_from(), "portfolio:exact");
+        let race = run.goals[1].solves[0].portfolio.as_mut().expect("raced");
+        race.winner = "sa".to_string();
+        assert_eq!(run.served_from(), "portfolio:mixed");
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn main() {
         );
         let solver = StringSolver::with_defaults().with_seed(14);
         let qubo_answer = match solver.solve(&conjunction) {
-            Ok(out) if out.valid => out.solution.as_text().unwrap_or("").to_string(),
+            Ok((out, _)) if out.valid => out.solution.as_text().unwrap_or("").to_string(),
             Ok(_) => "(no valid sample)".to_string(),
             Err(e) => format!("unsat: {e}"),
         };

@@ -92,7 +92,7 @@ fn main() {
     ];
     println!("\nerror-path probes:");
     for (expect, probe) in error_probes {
-        let out = solver.solve(&probe).expect("probe encodes");
+        let (out, _) = solver.solve(&probe).expect("probe encodes");
         let input = out.solution.as_text().expect("text").to_string();
         let got = parse_request(&input).err().unwrap_or("ok");
         println!("  aiming at {expect:<14} input={input:?} -> err({got})");

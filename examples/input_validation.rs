@@ -38,7 +38,7 @@ fn main() {
     println!("generating branch-covering inputs with the QUBO solver\n");
 
     // Branch 1: a username the validator accepts.
-    let username = solver
+    let (username, _) = solver
         .solve(&Constraint::Regex {
             pattern: "u[ab]+".into(),
             len: 5,
@@ -51,7 +51,7 @@ fn main() {
     );
 
     // Branch 2: a coupon containing the campaign tag.
-    let coupon = solver
+    let (coupon, _) = solver
         .solve(&Constraint::SubstringMatch {
             substring: "GO".into(),
             len: 6,
@@ -64,7 +64,7 @@ fn main() {
     );
 
     // Branch 3: a mirrored banner name.
-    let banner = solver
+    let (banner, _) = solver
         .solve(&Constraint::Palindrome { len: 5 })
         .expect("banner constraint encodes");
     report(
@@ -82,7 +82,7 @@ fn main() {
         len: 6,
     }) {
         Err(e) => println!("dead branch detected (as expected): {e}"),
-        Ok(out) => println!("unexpected solution for dead branch: {}", out.solution),
+        Ok((out, _)) => println!("unexpected solution for dead branch: {}", out.solution),
     }
 }
 

@@ -45,7 +45,7 @@ fn main() {
 
     for c in &constraints {
         match solver.solve(c) {
-            Ok(out) => println!(
+            Ok((out, _)) => println!(
                 "{:<45} -> {:<16} vars={:<4} energy={:<8.2} valid={}",
                 c.describe(),
                 out.solution.to_string(),

@@ -59,8 +59,9 @@ fn main() {
     };
 
     let solver = StringSolver::with_defaults().with_seed(99);
-    match script.solve(&solver) {
-        Ok(outcome) => {
+    match script.solve(&solver, false) {
+        Ok(run) => {
+            let outcome = run.outcome;
             println!("{}", outcome.status);
             if !outcome.model.is_empty() {
                 println!("(model");

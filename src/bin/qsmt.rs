@@ -290,14 +290,6 @@ impl Default for Options {
     }
 }
 
-impl Options {
-    /// True when any observability surface was requested, which routes
-    /// the solve through the reporting path.
-    fn wants_telemetry(&self) -> bool {
-        self.stats || self.trace || self.report.is_some()
-    }
-}
-
 fn parse_flags(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut it = args.iter();
@@ -516,6 +508,7 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
         StringSolver::with_defaults()
             .with_seed(opts.seed)
             .with_deny_lint_errors(opts.lint)
+            .with_portfolio(qsmt::default_portfolio())
     } else {
         StringSolver::new(make_sampler(opts)?).with_deny_lint_errors(opts.lint)
     };
@@ -541,49 +534,15 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
         let id = qsmt::trace::TraceId::derive(opts.seed);
         (id, qsmt::trace::enter(id, source_name))
     });
+    if opts.portfolio && !opts.absint {
+        return Err("--portfolio needs the script-level absint pass (drop --no-absint)".into());
+    }
     let started = Instant::now();
-    let (outcome, goals, absint_run) = if opts.portfolio {
-        if !opts.absint {
-            return Err("--portfolio needs the script-level absint pass (drop --no-absint)".into());
-        }
-        let portfolio = qsmt::default_portfolio();
-        let (outcome, goals, run) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            script.solve_portfolio_reported_absint(&solver, &portfolio)
-        }))
-        .map_err(surface_panic)?
-        .map_err(|e| e.to_string())?;
-        (outcome, goals, Some(run))
-    } else if opts.absint {
-        if opts.wants_telemetry() {
-            let (outcome, goals, run) =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    script.solve_reported_absint(&solver)
-                }))
-                .map_err(surface_panic)?
-                .map_err(|e| e.to_string())?;
-            (outcome, goals, Some(run))
-        } else {
-            let (outcome, run) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                script.solve_absint(&solver)
-            }))
-            .map_err(surface_panic)?
-            .map_err(|e| e.to_string())?;
-            (outcome, Vec::new(), Some(run))
-        }
-    } else if opts.wants_telemetry() {
-        let (outcome, goals) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            script.solve_reported(&solver)
-        }))
-        .map_err(surface_panic)?
-        .map_err(|e| e.to_string())?;
-        (outcome, goals, None)
-    } else {
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| script.solve(&solver)))
-                .map_err(surface_panic)?
-                .map_err(|e| e.to_string())?;
-        (outcome, Vec::new(), None)
-    };
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        script.solve(&solver, opts.absint)
+    }))
+    .map_err(surface_panic)?
+    .map_err(|e| e.to_string())?;
     let elapsed_us = started.elapsed().as_micros() as u64;
     let trace_id = trace_scope.as_ref().map(|(id, _)| *id);
     if let Some((id, guard)) = trace_scope {
@@ -598,10 +557,7 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("trace written to {path}");
     }
-    let refuted_statically = absint_run
-        .as_ref()
-        .is_some_and(qsmt::smtlib::AbsintRun::is_refuted);
-
+    let outcome = &run.outcome;
     println!("{}", outcome.status);
     if !outcome.model.is_empty() {
         println!("(model");
@@ -612,8 +568,8 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
     }
 
     if opts.stats {
-        if let Some(run) = &absint_run {
-            let stats = run.to_stats();
+        if let Some(absint) = &run.absint {
+            let stats = absint.to_stats();
             println!(
                 "; absint: verdict {}, {} iteration(s), {} narrowing(s), {} vars eliminated, {} certificate step(s), {:.3} ms",
                 stats.verdict,
@@ -624,7 +580,7 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
                 stats.time_us as f64 / 1000.0
             );
         }
-        for goal in &goals {
+        for goal in &run.goals {
             println!(
                 "; goal {} ({}): {} solve(s), {:.3} ms",
                 goal.name,
@@ -640,7 +596,7 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
         }
     }
     if opts.trace && opts.trace_out.is_none() {
-        for goal in &goals {
+        for goal in &run.goals {
             for solve in &goal.solves {
                 println!("; trace for goal {} — {}", goal.name, solve.constraint);
                 for line in TraceDisplay(&solve.spans).to_string().lines() {
@@ -655,33 +611,13 @@ fn run_solve_inner(source: &str, source_name: &str, opts: &Options) -> Result<()
             source: source_name.to_string(),
             status: outcome.status.to_string(),
             sampler: solver.sampler_name().to_string(),
-            // The one-shot CLI path runs cache-less; a run is served by
-            // the static analyzer (a confirmed refutation), attributed
-            // to the portfolio member that won its races, or credited to
-            // the solver itself.
-            served_from: if refuted_statically {
-                "absint".to_string()
-            } else if opts.portfolio {
-                let mut winners: Vec<&str> = goals
-                    .iter()
-                    .flat_map(|g| g.solves.iter())
-                    .filter_map(|s| s.portfolio.as_ref())
-                    .map(|p| p.winner.as_str())
-                    .collect();
-                winners.sort_unstable();
-                winners.dedup();
-                match winners[..] {
-                    [] => "solver".to_string(),
-                    [one] => format!("portfolio:{one}"),
-                    _ => "portfolio:mixed".to_string(),
-                }
-            } else {
-                "solver".to_string()
-            },
+            // The one-shot CLI path runs cache-less, so a run is served
+            // by absint, a portfolio member, or the solver itself.
+            served_from: run.served_from(),
             elapsed_us,
             trace_id: trace_id.map(qsmt::trace::TraceId::get),
-            absint: absint_run.as_ref().map(qsmt::smtlib::AbsintRun::to_stats),
-            goals,
+            absint: run.absint.as_ref().map(qsmt::smtlib::AbsintRun::to_stats),
+            goals: run.goals,
         };
         std::fs::write(path, report.to_json().pretty())
             .map_err(|e| format!("cannot write report to {path}: {e}"))?;

@@ -41,10 +41,11 @@
 //! use qsmt::{Constraint, StringSolver};
 //!
 //! let solver = StringSolver::with_defaults().with_seed(1);
-//! let out = solver
+//! let (out, report) = solver
 //!     .solve(&Constraint::Palindrome { len: 6 })
 //!     .unwrap();
 //! assert!(out.valid);
+//! assert_eq!(report.stages.len(), 6);
 //! ```
 
 #![warn(missing_docs)]

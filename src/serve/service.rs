@@ -19,8 +19,8 @@ use super::http::{read_request, respond, respond_with, Request};
 use qsmt_core::{SolveCache, StringSolver};
 use qsmt_metrics::{FlightRecorder, Registry};
 use qsmt_qubo::StopFlag;
-use qsmt_smtlib::Script;
-use qsmt_telemetry::{GoalReport, Json, RunReport};
+use qsmt_smtlib::{AbsintRun, Script};
+use qsmt_telemetry::{Json, RunReport};
 use qsmt_trace::{RunStore, TraceId};
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
@@ -583,55 +583,21 @@ impl Service {
         if let Some(cache) = &self.cache {
             solver = solver.with_cache(Arc::clone(cache));
         }
-        let started = Instant::now();
-        let (outcome, goals, absint_run): (_, Vec<GoalReport>, _) = if job.portfolio {
-            script.solve_portfolio_reported_absint(&solver, &self.portfolio)
-        } else {
-            script.solve_reported_absint(&solver)
+        if job.portfolio {
+            solver = solver.with_portfolio(self.portfolio.clone());
         }
-        .map_err(|e| e.to_string())?;
-        // Provenance, in decision order: a confirmed static refutation
-        // never touches a sampler; a portfolio run is attributed to the
-        // member that won its races (`portfolio:<member>`, or
-        // `portfolio:mixed` when goals were won by different members);
-        // otherwise the run was served from cache only when nothing
-        // sampled (at least one solve, every solve an exact hit);
-        // anything else is the solver's work.
-        let solves = goals.iter().flat_map(|g| g.solves.iter());
-        let served_from = if absint_run.is_refuted() {
-            "absint".to_string()
-        } else if job.portfolio {
-            let mut winners: Vec<&str> = solves
-                .clone()
-                .filter_map(|s| s.portfolio.as_ref())
-                .map(|p| p.winner.as_str())
-                .collect();
-            winners.sort_unstable();
-            winners.dedup();
-            match winners[..] {
-                [] => "solver".to_string(),
-                [one] => format!("portfolio:{one}"),
-                _ => "portfolio:mixed".to_string(),
-            }
-        } else if goals.iter().any(|g| !g.solves.is_empty())
-            && solves
-                .clone()
-                .all(|s| s.cache.as_ref().is_some_and(|c| c.outcome == "exact-hit"))
-        {
-            "cache".to_string()
-        } else {
-            "solver".to_string()
-        };
+        let started = Instant::now();
+        let run = script.solve(&solver, true).map_err(|e| e.to_string())?;
         let report = RunReport {
             schema_version: RunReport::SCHEMA_VERSION,
             source: format!("<job-{}>", job.id),
-            status: outcome.status.to_string(),
+            status: run.outcome.status.to_string(),
             sampler: solver.sampler_name().to_string(),
-            served_from,
+            served_from: run.served_from(),
             elapsed_us: started.elapsed().as_micros() as u64,
-            absint: Some(absint_run.to_stats()),
+            absint: run.absint.as_ref().map(AbsintRun::to_stats),
             trace_id: Some(job.trace_id.get()),
-            goals,
+            goals: run.goals,
         };
         Ok(report.to_json())
     }

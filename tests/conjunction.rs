@@ -18,7 +18,8 @@ fn merged_palindrome_with_pinned_char_solves() {
     let out = StringSolver::with_defaults()
         .with_seed(21)
         .solve(&c)
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     assert!(out.valid, "conjunction must validate");
     let t = out.solution.as_text().expect("text");
     assert!(t.starts_with('x') && t.ends_with('x'));
@@ -40,7 +41,8 @@ fn merged_regex_with_suffix() {
     let out = StringSolver::with_defaults()
         .with_seed(5)
         .solve(&c)
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     assert!(out.valid);
     let t = out.solution.as_text().expect("text");
     assert!(t.starts_with('a') && t.ends_with('c'), "{t:?}");
@@ -56,8 +58,9 @@ fn smtlib_conjunction_end_to_end() {
     )
     .expect("parses");
     let out = script
-        .solve(&StringSolver::with_defaults().with_seed(31))
-        .expect("solves");
+        .solve(&StringSolver::with_defaults().with_seed(31), false)
+        .expect("solves")
+        .outcome;
     assert_eq!(out.status, SatStatus::Sat);
     let qsmt::smtlib::ModelValue::Str(s) = &out.model[0].1 else {
         panic!()
@@ -78,8 +81,9 @@ fn contradictory_conjunction_reports_unknown_not_sat() {
     )
     .expect("parses");
     let out = script
-        .solve(&StringSolver::with_defaults().with_seed(2))
-        .expect("solves");
+        .solve(&StringSolver::with_defaults().with_seed(2), false)
+        .expect("solves")
+        .outcome;
     assert_eq!(out.status, SatStatus::Unknown);
 }
 
@@ -96,13 +100,15 @@ fn quantum_annealer_backend_solves_table1_style_rows() {
         .solve(&Constraint::Reverse {
             input: "hello".into(),
         })
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     assert_eq!(rev.solution.as_text(), Some("olleh"));
     assert!(rev.valid);
 
     let pal = solver
         .solve(&Constraint::Palindrome { len: 4 })
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     assert!(pal.valid, "SQA palindrome must validate");
 }
 

@@ -78,7 +78,8 @@ fn solver_facade_works_with_every_sampler() {
         let solver = StringSolver::new(sampler);
         let out = solver
             .solve(&Constraint::Reverse { input: "ab".into() })
-            .expect("encodes");
+            .expect("encodes")
+            .0;
         assert_eq!(
             out.solution.as_text(),
             Some("ba"),
@@ -98,7 +99,7 @@ fn validation_distinguishes_relaxed_ground_states() {
         len: 2,
     };
     let solver = StringSolver::new(Arc::new(ExactSolver::new().with_keep(64)));
-    let out = solver.solve(&c).expect("encodes");
+    let out = solver.solve(&c).expect("encodes").0;
     assert!(out.valid);
     let t = out.solution.as_text().expect("text");
     assert!(t == "ab" || t == "ad", "got {t:?}");
@@ -109,11 +110,13 @@ fn deterministic_cross_run() {
     let a = StringSolver::with_defaults()
         .with_seed(5)
         .solve(&Constraint::Palindrome { len: 4 })
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     let b = StringSolver::with_defaults()
         .with_seed(5)
         .solve(&Constraint::Palindrome { len: 4 })
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     assert_eq!(a.solution, b.solution);
     assert_eq!(a.energy, b.energy);
 }

@@ -140,7 +140,7 @@ proptest! {
     fn solver_answers_validate_for_deterministic_ops(s in short_ascii()) {
         let solver = qsmt::StringSolver::with_defaults().with_seed(3);
         let c = Constraint::Reverse { input: s };
-        let out = solver.solve(&c).expect("encodes");
+        let out = solver.solve(&c).expect("encodes").0;
         prop_assert!(out.valid);
         prop_assert!(c.validate(&out.solution));
     }
@@ -164,14 +164,18 @@ proptest! {
         let c = Constraint::Palindrome { len };
         let solver = qsmt::StringSolver::with_defaults().with_seed(seed);
         let portfolio = qsmt::Portfolio::new();
-        let out = solver.solve_portfolio(&c, &portfolio, None).expect("solves");
-        let widx = out.stats.winner_index as usize;
-        let features = solver.routing_features(&c, None).expect("routes");
+        let (out, report) = solver
+            .clone()
+            .with_portfolio(portfolio.clone())
+            .solve(&c)
+            .expect("solves");
+        let widx = report.portfolio.expect("raced").winner_index as usize;
+        let features = solver.routing_features(&c).expect("routes");
         let plan = portfolio.router().route(&features);
         let solo = plan.members[widx]
             .sampler(qsmt::member_seed(seed, widx), None)
             .expect("winner is sampler-backed")
             .sample(&solver.encode(&c).expect("encodes").qubo);
-        prop_assert_eq!(out.outcome.samples, solo);
+        prop_assert_eq!(out.samples, solo);
     }
 }

@@ -57,7 +57,8 @@ fn qpu_as_string_solver_backend() {
         .solve(&Constraint::Equality {
             target: "ok".into(),
         })
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     assert_eq!(out.solution.as_text(), Some("ok"));
     assert!(out.valid);
 }

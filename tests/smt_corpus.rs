@@ -15,8 +15,9 @@ fn solve_file(name: &str) -> (SatStatus, Vec<(String, String)>) {
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let script = Script::parse(&src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
     let out = script
-        .solve(&StringSolver::with_defaults().with_seed(41))
-        .unwrap_or_else(|e| panic!("{name}: solve error: {e}"));
+        .solve(&StringSolver::with_defaults().with_seed(41), false)
+        .unwrap_or_else(|e| panic!("{name}: solve error: {e}"))
+        .outcome;
     let model = out
         .model
         .into_iter()

@@ -31,7 +31,7 @@ fn full_script_with_every_goal_kind() {
         "#,
     )
     .expect("parses");
-    let out = script.solve(&solver()).expect("solves");
+    let out = script.solve(&solver(), false).expect("solves").outcome;
     assert_eq!(out.status, SatStatus::Sat);
     let model: std::collections::HashMap<_, _> = out.model.into_iter().collect();
     assert_eq!(model["a"].to_string(), "\"ollah\"");
@@ -52,8 +52,8 @@ fn unsat_scripts_report_unsat() {
     ] {
         let out = Script::parse(src)
             .expect("parses")
-            .solve(&solver())
-            .expect("solves");
+            .solve(&solver(), false)
+            .expect("solves").outcome;
         assert_eq!(out.status, SatStatus::Unsat, "script: {src}");
     }
 }
@@ -85,7 +85,7 @@ fn quantum_and_classical_agree_on_deterministic_constraints() {
             needle: "ssi".into(),
         },
     ] {
-        let q = quantum.solve(&c).expect("encodes").solution;
+        let q = quantum.solve(&c).expect("encodes").0.solution;
         let cl = classical.solve(&c).solution.expect("classical solves");
         assert_eq!(q, cl, "disagreement on {}", c.describe());
     }
@@ -108,7 +108,7 @@ fn quantum_and_classical_agree_on_generated_validity() {
             len: 4,
         },
     ] {
-        let q = quantum.solve(&c).expect("encodes");
+        let q = quantum.solve(&c).expect("encodes").0;
         assert!(q.valid, "quantum answer invalid for {}", c.describe());
         let cl = classical.solve(&c).solution.expect("classical solves");
         assert!(
@@ -124,7 +124,7 @@ fn model_shapes_survive_roundtrip_printing() {
     let script =
         Script::parse("(declare-const i Int)(assert (= i (str.indexof \"abc\" \"zz\" 0)))")
             .expect("parses");
-    let out = script.solve(&solver()).expect("solves");
+    let out = script.solve(&solver(), false).expect("solves").outcome;
     // No occurrence: SMT-LIB prints −1.
     assert_eq!(out.model[0].1.to_string(), "(- 1)");
     // The decoded Solution equivalent:

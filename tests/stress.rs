@@ -59,7 +59,7 @@ proptest! {
 
     #[test]
     fn deterministic_constraints_agree_with_classical(c in arb_deterministic_constraint()) {
-        let quantum = StringSolver::with_defaults().with_seed(8).solve(&c).expect("encodes");
+        let quantum = StringSolver::with_defaults().with_seed(8).solve(&c).expect("encodes").0;
         prop_assert!(quantum.valid, "{} must validate", c.describe());
         let classical = ClassicalSolver::new().solve(&c).solution.expect("classical solves");
         prop_assert_eq!(quantum.solution, classical);
@@ -67,7 +67,7 @@ proptest! {
 
     #[test]
     fn generation_constraints_validate_end_to_end(c in arb_generation_constraint()) {
-        let out = StringSolver::with_defaults().with_seed(6).solve(&c).expect("encodes");
+        let out = StringSolver::with_defaults().with_seed(6).solve(&c).expect("encodes").0;
         prop_assert!(out.valid, "{} produced invalid {}", c.describe(), out.solution);
     }
 
@@ -76,7 +76,7 @@ proptest! {
         let p = c.encode().expect("encodes");
         prop_assume!(p.num_vars() <= 24);
         let (ground, _) = ExactSolver::new().ground_states(&p.qubo);
-        let out = StringSolver::with_defaults().with_seed(4).solve(&c).expect("encodes");
+        let out = StringSolver::with_defaults().with_seed(4).solve(&c).expect("encodes").0;
         prop_assert!((out.energy - ground).abs() < 1e-9,
             "annealer energy {} vs exact {}", out.energy, ground);
     }
@@ -104,7 +104,7 @@ proptest! {
             ok
         };
         let c = Constraint::All(parts);
-        let out = StringSolver::with_defaults().with_seed(3).solve(&c).expect("encodes");
+        let out = StringSolver::with_defaults().with_seed(3).solve(&c).expect("encodes").0;
         if satisfiable {
             prop_assert!(out.valid, "{} should be satisfiable", c.describe());
             prop_assert!(c.validate(&out.solution));

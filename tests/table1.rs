@@ -27,7 +27,8 @@ fn row1_reverse_hello_and_replace_e_with_a() {
 fn row2_palindrome_of_length_6() {
     let out = solver()
         .solve(&Constraint::Palindrome { len: 6 })
-        .expect("encodes");
+        .expect("encodes")
+        .0;
     assert!(out.valid);
     let t = out.solution.as_text().expect("text");
     assert_eq!(t.len(), 6);
@@ -50,7 +51,7 @@ fn row3_regex_a_bc_plus_length_5() {
         pattern: "a[bc]+".into(),
         len: 5,
     };
-    let out = solver().solve(&constraint).expect("encodes");
+    let out = solver().solve(&constraint).expect("encodes").0;
     assert!(out.valid, "post-selected answer must match the regex");
     let t = out.solution.as_text().expect("text");
     assert!(t.starts_with('a'));
@@ -80,7 +81,7 @@ fn row5_length_6_with_hi_at_index_2() {
         index: 2,
         len: 6,
     };
-    let out = solver().solve(&constraint).expect("encodes");
+    let out = solver().solve(&constraint).expect("encodes").0;
     assert!(out.valid);
     let t = out.solution.as_text().expect("text");
     assert_eq!(t.len(), 6);
@@ -105,7 +106,7 @@ fn all_rows_solve_on_one_solver_instance() {
             len: 6,
         },
     ] {
-        let out = s.solve(&c).expect("encodes");
+        let out = s.solve(&c).expect("encodes").0;
         assert!(out.valid, "{} must validate", c.describe());
     }
 }
