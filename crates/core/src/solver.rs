@@ -12,7 +12,7 @@ use qsmt_anneal::{
     metrics, ProbeConfig, SampleSet, Sampler, SamplerDynamics, SamplerRunStats, SimulatedAnnealer,
 };
 use qsmt_lint::{lint_qubo, LintConfig, LintReport};
-use qsmt_qubo::{ModelFingerprint, QuboModel, StopFlag};
+use qsmt_qubo::{ModelFingerprint, QuboModel, ReducedModel, StopFlag};
 use qsmt_telemetry::{
     CacheStats, CompileStats, DynamicsStats, EmbeddingStats, HistogramSummary, PortfolioStats,
     PresolveStats, Recorder, SamplerStats, SelectStats, SolveReport, StageTiming, StallVerdict,
@@ -40,9 +40,10 @@ use std::time::{Duration, Instant};
 ///
 /// let solver = StringSolver::with_defaults().with_seed(7);
 /// let (out, report) = solver
-///     .solve(&Constraint::Reverse { input: "hello".into() })
+///     .solve(&Constraint::Palindrome { len: 5 })
 ///     .unwrap();
-/// assert_eq!(out.solution.as_text(), Some("olleh"));
+/// let text = out.solution.as_text().unwrap();
+/// assert_eq!(text.chars().rev().collect::<String>(), text);
 /// assert!(out.valid);
 /// assert!(report.stages.iter().any(|s| s.label == "sample"));
 /// ```
@@ -172,7 +173,8 @@ impl StringSolver {
     /// hit seeds a short reverse-annealing refinement from the cached
     /// ground state through the configured sampler
     /// ([`Sampler::warm_started`]); a miss solves normally and inserts
-    /// the result. Cancelled (stop-flagged) solves are never inserted.
+    /// the result. Cancelled (stop-flagged) solves are never inserted,
+    /// and a solve that presolve answers never reads or writes the cache.
     /// See `docs/CACHING.md`.
     pub fn with_cache(mut self, cache: Arc<SolveCache>) -> Self {
         self.cache = Some(cache);
@@ -279,11 +281,15 @@ impl StringSolver {
     /// The stages run in order: compile, lint (which the deny gate of
     /// [`StringSolver::with_deny_lint_errors`] reads), presolve, then
     /// either embed → sample → select → cache insert or — with a
-    /// [`Portfolio`] attached — one `portfolio` race stage. Lint,
-    /// presolve and the embedding probe (a minor embedding onto a
-    /// Chimera topology sized to fit the problem) are read-only: the
-    /// sample set is bit-identical to running the sampler on the encoded
-    /// QUBO directly.
+    /// [`Portfolio`] attached — one `portfolio` race stage. On the solo
+    /// path presolve decides: when persistency fixes every variable and
+    /// the lifted state validates, a `select` stage over that one state
+    /// answers the solve (`sampling.sampler` is `"presolve"`) and no
+    /// sampler, embedding probe or cache runs. Lint, the embedding probe
+    /// (a minor embedding onto a Chimera topology sized to fit the
+    /// problem) and a presolve that leaves variables open are read-only:
+    /// the sample set is bit-identical to running the sampler on the
+    /// encoded QUBO directly.
     ///
     /// # Errors
     /// Propagates encoding failures, and — in deny-on-error mode — lint
@@ -316,9 +322,10 @@ impl StringSolver {
             Self::reject_on_errors(&lint_report)?;
         }
 
-        let (fixed, presolve_us) = stage(&rec, &mut stages, "presolve", || {
-            qsmt_qubo::presolve(&problem.qubo).num_fixed()
+        let (reduced, presolve_us) = stage(&rec, &mut stages, "presolve", || {
+            qsmt_qubo::presolve(&problem.qubo)
         });
+        let fixed = reduced.num_fixed();
         let original = problem.qubo.num_vars();
         let presolve = PresolveStats {
             time_us: presolve_us,
@@ -334,7 +341,7 @@ impl StringSolver {
 
         let sampled = match &self.portfolio {
             Some(portfolio) => self.race_stage(constraint, &problem, portfolio, &rec, &mut stages),
-            None => self.sample_stages(constraint, problem, &rec, &mut stages),
+            None => self.solo_stages(constraint, problem, &reduced, &rec, &mut stages),
         };
         let outcome = sampled.outcome;
         let report = SolveReport {
@@ -359,7 +366,76 @@ impl StringSolver {
         Ok((outcome, report))
     }
 
-    /// The solo half of [`StringSolver::solve`]: embed, sample behind the
+    /// The solo half of [`StringSolver::solve`] past presolve, where
+    /// presolve decides. When persistency fixed every variable, the
+    /// lifted forced state is the model's only ground state, and a
+    /// validating one answers the solve with no embedding probe, cache
+    /// access or sampler call. Otherwise (variables remain, or the
+    /// encoding's ground state fails validation) the solve anneals.
+    fn solo_stages(
+        &self,
+        constraint: &Constraint,
+        problem: EncodedProblem,
+        reduced: &ReducedModel,
+        rec: &Recorder,
+        stages: &mut Vec<StageTiming>,
+    ) -> Sampled {
+        if reduced.model.num_vars() > 0 {
+            return self.sample_stages(constraint, problem, rec, stages);
+        }
+        let presolved = self.presolved(constraint, problem, reduced, rec, stages);
+        if presolved.outcome.valid {
+            rec.event(
+                "presolved",
+                format!(
+                    "all {} vars fixed: lifted state validates, no sampling",
+                    presolved.outcome.problem.num_vars()
+                ),
+            );
+            return presolved;
+        }
+        rec.event("presolve", "lifted state fails validation: annealing");
+        self.sample_stages(constraint, presolved.outcome.problem, rec, stages)
+    }
+
+    /// Runs `select` over the lifted forced state of a fully fixed model
+    /// as a one-read sample set reported under the `"presolve"` sampler.
+    fn presolved(
+        &self,
+        constraint: &Constraint,
+        problem: EncodedProblem,
+        reduced: &ReducedModel,
+        rec: &Recorder,
+        stages: &mut Vec<StageTiming>,
+    ) -> Sampled {
+        let state = reduced.lift(&[]);
+        let energy = problem.qubo.energy(&state);
+        let samples = SampleSet::from_reads(vec![(state, energy)]);
+        let ((outcome, decoded_states, valid_rank), select_us) =
+            stage(rec, stages, "select", || {
+                self.select(constraint, problem, samples)
+            });
+        Sampled {
+            sampling: Self::sampler_stats(
+                "presolve",
+                &outcome.samples,
+                SamplerRunStats::default(),
+                0,
+            ),
+            outcome,
+            embedding: None,
+            select: SelectStats {
+                time_us: select_us,
+                decoded_states,
+                valid_rank,
+            },
+            dynamics: None,
+            cache: None,
+            portfolio: None,
+        }
+    }
+
+    /// The annealed half of the solo path: embed, sample behind the
     /// cache (when attached), select, and insert the result.
     fn sample_stages(
         &self,
@@ -502,7 +578,10 @@ impl StringSolver {
     /// reads and writes an attached cache — a shape hit warm-starts a
     /// short reverse anneal, which can surface fewer distinct witnesses
     /// than a cold run — and races an attached portfolio, whose winner's
-    /// sample set is the one filtered.
+    /// sample set is the one filtered. A constraint that presolve
+    /// answers on the solo path yields its single lifted witness:
+    /// persistency fixed every variable, so that state is the model's
+    /// only ground state.
     ///
     /// The degenerate ground states of the paper's generation encodings
     /// (palindromes, regexes, flexible fills) make this natural: one
@@ -856,9 +935,7 @@ mod tests {
         let (out, _) = StringSolver::with_defaults()
             .with_seed(2)
             .with_reads(8)
-            .solve(&Constraint::Equality {
-                target: "ab".into(),
-            })
+            .solve(&Constraint::Palindrome { len: 2 })
             .unwrap();
         assert_eq!(out.samples.total_reads(), 8);
         assert!(out.valid);
@@ -899,9 +976,11 @@ mod tests {
 
     #[test]
     fn sample_sets_match_a_direct_sampler_run_at_the_same_seed() {
-        // Lint, presolve, the embedding probe, trajectory probes and the
-        // cache are observational: every sample set `solve` reports is
-        // the one a bare `Sampler::sample` of the encoded QUBO yields.
+        // Lint, a presolve that leaves variables open, the embedding
+        // probe, trajectory probes and the cache are observational:
+        // every annealed sample set `solve` reports is the one a bare
+        // `Sampler::sample` of the encoded QUBO yields. A presolved
+        // stage reports that run's ground state as its one read.
         let direct = |c: &Constraint| {
             SimulatedAnnealer::new()
                 .with_num_reads(64)
@@ -909,12 +988,10 @@ mod tests {
                 .with_seed(42)
                 .sample(&solver().encode(c).unwrap().qubo)
         };
-        let c = Constraint::Reverse {
-            input: "abc".into(),
-        };
+        let c = Constraint::Palindrome { len: 2 };
         let (solo, report) = solver().solve(&c).unwrap();
         assert_eq!(solo.samples, direct(&c), "solo solve");
-        assert_eq!(report.solution, "\"cba\"");
+        assert_eq!(report.solution, solo.solution.to_string());
         assert!(report.valid);
 
         let cached = solver().with_cache(Arc::new(SolveCache::new(4)));
@@ -930,19 +1007,26 @@ mod tests {
         let run = pipeline.run(&solver()).unwrap();
         assert_eq!(run.stages.len(), 3);
         for stage in &run.stages {
-            assert_eq!(
-                stage.outcome.samples,
-                direct(&stage.constraint),
-                "pipeline stage"
-            );
+            let direct = direct(&stage.constraint);
+            if stage.report.sampling.sampler == "presolve" {
+                let (lifted, ground) = (stage.outcome.samples.best(), direct.best());
+                assert_eq!(lifted.map(|s| &s.state), ground.map(|s| &s.state));
+                assert_eq!(lifted.map(|s| s.energy), ground.map(|s| s.energy));
+            } else {
+                assert_eq!(stage.outcome.samples, direct, "pipeline stage");
+            }
         }
+        let samplers: Vec<&str> = run
+            .stages
+            .iter()
+            .map(|s| s.report.sampling.sampler.as_str())
+            .collect();
+        assert_eq!(samplers, ["simulated-annealing", "presolve", "presolve"]);
     }
 
     #[test]
     fn report_carries_dynamics_from_probed_sampler() {
-        let (_, report) = solver()
-            .solve(&Constraint::Reverse { input: "ab".into() })
-            .unwrap();
+        let (_, report) = solver().solve(&Constraint::Palindrome { len: 2 }).unwrap();
         let d = report.dynamics.as_ref().expect("SA exposes dynamics");
         assert!(!d.energy_trace.is_empty());
         assert!(!d.beta_acceptance.is_empty());
@@ -962,11 +1046,7 @@ mod tests {
 
     #[test]
     fn report_stages_are_ordered_and_timed() {
-        let (_, report) = solver()
-            .solve(&Constraint::Equality {
-                target: "hi".into(),
-            })
-            .unwrap();
+        let (_, report) = solver().solve(&Constraint::Palindrome { len: 2 }).unwrap();
         let labels: Vec<&str> = report.stages.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -1082,11 +1162,8 @@ mod tests {
         // A tripped flag cancels before the first sweep: a read budget
         // this size would otherwise take far longer than the assertion
         // allows, and the call still returns a well-formed outcome.
-        let (out, _) = s
-            .solve(&Constraint::Equality {
-                target: "hello".into(),
-            })
-            .unwrap();
+        let (out, report) = s.solve(&Constraint::Palindrome { len: 5 }).unwrap();
+        assert_eq!(report.sampling.sampler, "simulated-annealing");
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "tripped stop flag did not cut the solve short: {:?}",
@@ -1097,17 +1174,13 @@ mod tests {
 
     #[test]
     fn untripped_stop_flag_keeps_solves_bit_identical() {
-        let plain = solver().solve(&Constraint::Equality {
-            target: "abc".into(),
-        });
-        let flagged = solver()
-            .with_stop(StopFlag::new())
-            .solve(&Constraint::Equality {
-                target: "abc".into(),
-            });
+        let c = Constraint::Palindrome { len: 3 };
+        let plain = solver().solve(&c);
+        let flagged = solver().with_stop(StopFlag::new()).solve(&c);
         let (plain, flagged) = (plain.unwrap().0, flagged.unwrap().0);
         assert_eq!(plain.solution, flagged.solution);
         assert_eq!(plain.energy, flagged.energy);
+        assert_eq!(plain.samples, flagged.samples);
     }
 
     /// Delegates to a real annealer but counts invocations, so a test
@@ -1159,7 +1232,7 @@ mod tests {
         let calls = Arc::clone(&counting.calls);
         let cache = Arc::new(SolveCache::new(16));
         let s = StringSolver::new(counting).with_cache(cache);
-        let c = Constraint::Reverse { input: "ab".into() };
+        let c = Constraint::Palindrome { len: 2 };
         let (cold, _) = s.solve(&c).unwrap();
         assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
         let (hit, _) = s.solve(&c).unwrap();
@@ -1181,28 +1254,109 @@ mod tests {
         let calls = Arc::clone(&counting.calls);
         let cache = Arc::new(SolveCache::new(16));
         let s = StringSolver::new(counting).with_cache(cache);
-        s.solve(&Constraint::Reverse { input: "ab".into() })
-            .unwrap();
+        s.solve(&Constraint::Prefix {
+            prefix: "ab".into(),
+            len: 3,
+        })
+        .unwrap();
         assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
         // Same shape, different coefficients: a warm start. The counter
         // advancing proves the custom sampler (via its warm variant) ran
         // the refinement — not a silently substituted built-in annealer.
-        let (warm, _) = s
-            .solve(&Constraint::Reverse { input: "cd".into() })
+        let (warm, report) = s
+            .solve(&Constraint::Prefix {
+                prefix: "cd".into(),
+                len: 3,
+            })
             .unwrap();
         assert_eq!(
             calls.load(std::sync::atomic::Ordering::SeqCst),
             2,
             "warm start must sample through the configured sampler"
         );
+        assert_eq!(report.cache.unwrap().outcome, "warm-start");
         assert!(warm.valid);
-        assert_eq!(warm.solution.as_text(), Some("dc"));
+        assert!(warm.solution.as_text().unwrap().starts_with("cd"));
+    }
+
+    #[test]
+    fn presolve_answers_without_sampler_cache_or_embedding() {
+        let counting = Arc::new(CountingSampler::with_defaults());
+        let calls = Arc::clone(&counting.calls);
+        let cache = Arc::new(SolveCache::new(16));
+        let s = StringSolver::new(counting).with_cache(Arc::clone(&cache));
+        let (out, report) = s
+            .solve(&Constraint::Reverse {
+                input: "abc".into(),
+            })
+            .unwrap();
+        assert_eq!(out.solution.as_text(), Some("cba"));
+        assert!(out.valid);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 0);
+        assert!(
+            cache.is_empty(),
+            "a presolved solve never touches the cache"
+        );
+        let labels: Vec<&str> = report.stages.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["compile", "lint", "presolve", "select"]);
+        assert_eq!(report.sampling.sampler, "presolve");
+        assert_eq!(report.sampling.reads, 1);
+        assert_eq!(report.presolve.fixed_vars, report.presolve.original_vars);
+        assert!(report.embedding.is_none() && report.cache.is_none());
+        assert_eq!(report.select.valid_rank, Some(0));
+        assert!(report.spans.iter().any(|s| s.name == "presolved"));
+        assert_eq!(out.samples.total_reads(), 1);
+        assert_eq!(
+            out.energy,
+            out.problem.qubo.energy(&out.samples.best().unwrap().state)
+        );
+    }
+
+    #[test]
+    fn presolved_state_that_fails_validation_falls_through_to_the_sampler() {
+        // A hand-built problem whose diagonal QUBO forces the bits of
+        // "a", posed against a constraint that wants "b": presolve fixes
+        // every variable, the lifted state decodes to the wrong string,
+        // and the solve must anneal rather than answer.
+        let mut qubo = QuboModel::new(7);
+        for (i, bit) in crate::encode::char_to_bits('a').unwrap().iter().enumerate() {
+            qubo.add_linear(i as u32, if *bit == 1 { -1.0 } else { 1.0 });
+        }
+        let problem = EncodedProblem {
+            qubo,
+            decode: crate::problem::DecodeScheme::AsciiString { len: 1 },
+            name: "hand-built",
+            description: "forces \"a\"".into(),
+        };
+        let reduced = qsmt_qubo::presolve(&problem.qubo);
+        assert_eq!(reduced.model.num_vars(), 0, "presolve fixes every bit");
+        let constraint = Constraint::Equality { target: "b".into() };
+
+        let counting = Arc::new(CountingSampler::with_defaults());
+        let calls = Arc::clone(&counting.calls);
+        let s = StringSolver::new(counting);
+        let rec = Recorder::new();
+        let mut stages = Vec::new();
+        let sampled = s.solo_stages(&constraint, problem, &reduced, &rec, &mut stages);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(sampled.sampling.sampler, "counting-sa");
+        assert_eq!(sampled.sampling.reads, 64);
+        // Every sample decodes to "a" or worse: nothing validates, and the
+        // verdict says so instead of trusting presolve.
+        assert!(!sampled.outcome.valid);
+        let labels: Vec<&str> = stages.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["select", "embed", "sample", "select"]);
+        let log = rec.finish();
+        assert!(log.iter().all(|r| r.name != "presolved"));
+        assert!(log
+            .iter()
+            .any(|r| r.name == "presolve" && r.detail.is_some()));
     }
 
     #[test]
     fn larger_read_budgets_are_not_answered_from_cache() {
         let cache = Arc::new(SolveCache::new(16));
-        let c = Constraint::Reverse { input: "ab".into() };
+        let c = Constraint::Palindrome { len: 2 };
         // Populate the cache with a small-budget solve …
         StringSolver::with_defaults()
             .with_seed(11)
@@ -1236,11 +1390,8 @@ mod tests {
         stop.stop();
         // A tripped flag truncates the anneal; whatever partial sample
         // set comes back must not poison the cache.
-        let _ = s
-            .solve(&Constraint::Equality {
-                target: "hi".into(),
-            })
-            .unwrap();
+        let (_, report) = s.solve(&Constraint::Palindrome { len: 2 }).unwrap();
+        assert_eq!(report.cache.unwrap().outcome, "miss");
         assert!(cache.is_empty(), "cancelled solve leaked into the cache");
     }
 
@@ -1252,7 +1403,10 @@ mod tests {
             .with_cache(cache);
 
         // Cold solve: a miss that runs the full 384-sweep schedule.
-        let c = Constraint::Reverse { input: "ab".into() };
+        let c = Constraint::Prefix {
+            prefix: "ab".into(),
+            len: 3,
+        };
         let (cold_out, cold) = s.solve(&c).unwrap();
         let stats = cold.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "miss");
@@ -1274,7 +1428,10 @@ mod tests {
 
         // Same shape, different coefficients: the cached ground state
         // seeds a short reverse anneal instead of a cold run.
-        let near = Constraint::Reverse { input: "cd".into() };
+        let near = Constraint::Prefix {
+            prefix: "cd".into(),
+            len: 3,
+        };
         let (warm_out, warm) = s.solve(&near).unwrap();
         let stats = warm.cache.as_ref().expect("cache attached");
         assert_eq!(stats.outcome, "warm-start");
@@ -1284,7 +1441,7 @@ mod tests {
             "warm start ({warm_sweeps} sweeps) must beat the cold schedule ({cold_sweeps})"
         );
         assert!(warm_out.valid, "warm-started solve still post-selects");
-        assert_eq!(warm_out.solution.as_text(), Some("dc"));
+        assert!(warm_out.solution.as_text().unwrap().starts_with("cd"));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::ast::{parse_command, Command};
 use crate::compile::{compile, CompileError, Goal};
 use crate::sexpr::{parse_sexprs, SExprError};
 use qsmt_core::{ConstraintError, Portfolio, PortfolioPlan, ScriptFacts, StringSolver};
-use qsmt_telemetry::{GoalKind, GoalReport};
+use qsmt_telemetry::{GoalKind, GoalReport, SolveReport};
 use std::borrow::Cow;
 
 /// A parsed SMT-LIB script.
@@ -120,13 +120,14 @@ impl ScriptRun {
     /// (`absint`); a raced run is attributed to the member that won its
     /// races (`portfolio:<member>`, or `portfolio:mixed` when goals were
     /// won by different members); a run is served from `cache` only when
-    /// nothing sampled (at least one solve, every solve an exact hit);
-    /// anything else is the `solver`'s work.
+    /// nothing sampled (at least one solve, every solve an exact hit),
+    /// and from `presolve` by the same rule when every solve was answered
+    /// by presolve's lifted state; anything else is the `solver`'s work.
     pub fn served_from(&self) -> String {
         if self.absint.as_ref().is_some_and(AbsintRun::is_refuted) {
             return "absint".to_string();
         }
-        let mut solves = self.goals.iter().flat_map(|g| &g.solves).peekable();
+        let solves = self.goals.iter().flat_map(|g| &g.solves);
         let mut winners: Vec<&str> = solves
             .clone()
             .filter_map(|s| s.portfolio.as_ref())
@@ -134,14 +135,17 @@ impl ScriptRun {
             .collect();
         winners.sort_unstable();
         winners.dedup();
+        let every_solve = |served: fn(&SolveReport) -> bool| {
+            let mut solves = solves.clone().peekable();
+            solves.peek().is_some() && solves.all(served)
+        };
         match winners[..] {
             [one] => format!("portfolio:{one}"),
             [_, _, ..] => "portfolio:mixed".to_string(),
-            [] if solves.peek().is_some()
-                && solves.all(|s| s.cache.as_ref().is_some_and(|c| c.outcome == "exact-hit")) =>
-            {
+            [] if every_solve(|s| s.cache.as_ref().is_some_and(|c| c.outcome == "exact-hit")) => {
                 "cache".to_string()
             }
+            [] if every_solve(|s| s.sampling.sampler == "presolve") => "presolve".to_string(),
             [] => "solver".to_string(),
         }
     }
@@ -673,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn served_from_covers_solver_cache_and_portfolio_attribution() {
+    fn served_from_covers_solver_cache_presolve_and_portfolio_attribution() {
         // Two small goals absint leaves open: both route to (and are won
         // by) the exact enumerator when raced.
         let script = Script::parse(
@@ -699,6 +703,25 @@ mod tests {
         let race = run.goals[1].solves[0].portfolio.as_mut().expect("raced");
         race.winner = "sa".to_string();
         assert_eq!(run.served_from(), "portfolio:mixed");
+
+        // A deterministic goal is answered by presolve, never by the
+        // cache; beside a sampled goal the run is the solver's work.
+        let determined = "(declare-const z String)(assert (= z (str.rev \"ab\")))";
+        let script = Script::parse(determined).unwrap();
+        assert_eq!(
+            script.solve(&cached, true).unwrap().served_from(),
+            "presolve"
+        );
+        assert_eq!(
+            script.solve(&cached, true).unwrap().served_from(),
+            "presolve"
+        );
+        let mixed = format!("{determined}(declare-const x String)(assert (= x (str.rev x)))(assert (= (str.len x) 2))");
+        let run = Script::parse(&mixed)
+            .unwrap()
+            .solve(&solver(), true)
+            .unwrap();
+        assert_eq!(run.served_from(), "solver");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! in one flat chronological log that can be printed (`--trace`) or
 //! embedded in a JSON report.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,10 +46,20 @@ impl SpanRecord {
     }
 }
 
+thread_local! {
+    /// This thread's open-span depth in each recorder it has spans open
+    /// on, keyed by the recorder's address. Guards borrow their recorder
+    /// and an entry goes when its depth returns to zero, so no entry
+    /// outlives its recorder.
+    static THREAD_DEPTHS: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Collects [`SpanRecord`]s for one solve.
 ///
 /// Interior-mutable and cheap to share by reference; spans are recorded
 /// when their [`SpanGuard`] drops, so panics still close open spans.
+/// Nesting depth is tracked per thread: spans opened on other threads
+/// never shift this thread's depths.
 ///
 /// ```
 /// use qsmt_telemetry::Recorder;
@@ -67,6 +79,7 @@ impl SpanRecord {
 pub struct Recorder {
     origin: Instant,
     records: Mutex<Vec<SpanRecord>>,
+    /// Spans open across all threads; zero once every guard has dropped.
     depth: AtomicUsize,
 }
 
@@ -91,21 +104,52 @@ impl Recorder {
         self.origin.elapsed().as_micros() as u64
     }
 
+    fn key(&self) -> usize {
+        std::ptr::from_ref(self) as usize
+    }
+
+    /// This thread's current nesting depth on this recorder.
+    fn thread_depth(&self) -> usize {
+        let key = self.key();
+        THREAD_DEPTHS.with_borrow(|d| d.iter().find(|e| e.0 == key).map_or(0, |e| e.1))
+    }
+
+    /// Adds `delta` (±1) to this thread's depth, returning the old depth.
+    fn shift_thread_depth(&self, delta: isize) -> usize {
+        let key = self.key();
+        THREAD_DEPTHS.with_borrow_mut(|d| {
+            let i = d.iter().position(|e| e.0 == key).unwrap_or_else(|| {
+                d.push((key, 0));
+                d.len() - 1
+            });
+            let old = d[i].1;
+            d[i].1 = old.wrapping_add_signed(delta);
+            if d[i].1 == 0 {
+                d.swap_remove(i);
+            }
+            old
+        })
+    }
+
     /// Opens a span; it closes (and is recorded) when the guard drops.
+    /// Its depth is the number of spans this thread has open on the
+    /// recorder.
     pub fn span<'r>(&'r self, name: &str) -> SpanGuard<'r> {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed);
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        let depth = self.shift_thread_depth(1);
         SpanGuard {
             recorder: self,
             name: name.to_string(),
             start_us: self.elapsed_us(),
             depth,
+            _same_thread: PhantomData,
         }
     }
 
     /// Records a point-in-time event with a detail message.
     pub fn event(&self, name: &str, detail: impl Into<String>) {
         let now = self.elapsed_us();
-        let depth = self.depth.load(Ordering::Relaxed);
+        let depth = self.thread_depth();
         self.push(SpanRecord {
             name: name.to_string(),
             start_us: now,
@@ -144,19 +188,22 @@ impl Recorder {
     }
 }
 
-/// RAII guard that records its span on drop.
+/// RAII guard that records its span on drop. It closes on the thread
+/// that opened it (not `Send`), where its depth was counted.
 #[derive(Debug)]
 pub struct SpanGuard<'r> {
     recorder: &'r Recorder,
     name: String,
     start_us: u64,
     depth: usize,
+    _same_thread: PhantomData<*const ()>,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let dur_us = self.recorder.elapsed_us().saturating_sub(self.start_us);
         self.recorder.depth.fetch_sub(1, Ordering::Relaxed);
+        self.recorder.shift_thread_depth(-1);
         self.recorder.push(SpanRecord {
             name: std::mem::take(&mut self.name),
             start_us: self.start_us,

@@ -161,7 +161,9 @@ impl EmbeddingStats {
 /// Sampling-stage statistics: what the sampler did and what it found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerStats {
-    /// Sampler name, e.g. `"simulated-annealing"`.
+    /// Sampler name, e.g. `"simulated-annealing"`; `"cache"` for an
+    /// exact-hit replay and `"presolve"` (one read, no sampler call) for
+    /// a solve presolve answered from its lifted forced state.
     pub sampler: String,
     /// Wall-clock time of the sampling call, microseconds.
     pub time_us: u64,
@@ -471,7 +473,7 @@ impl AbsintStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name: one of `compile`, `lint`, `presolve`, `embed`,
-    /// `sample`, `select`.
+    /// `sample`, `select`, `portfolio`.
     pub label: String,
     /// Microseconds from solve start to stage start.
     pub start_us: u64,
@@ -604,8 +606,14 @@ impl SolveReport {
             self.qubo.num_vars, self.qubo.num_interactions, self.qubo.density
         ));
         out.push_str(&format!(
-            "  presolve: fixed {}/{} vars\n",
-            self.presolve.fixed_vars, self.presolve.original_vars
+            "  presolve: fixed {}/{} vars{}\n",
+            self.presolve.fixed_vars,
+            self.presolve.original_vars,
+            if self.sampling.sampler == "presolve" {
+                " — answered by the lifted state, no sampler call"
+            } else {
+                ""
+            }
         ));
         if let Some(l) = &self.lint {
             out.push_str(&format!(
@@ -767,8 +775,10 @@ pub struct RunReport {
     /// Sampler used for every solve in the run.
     pub sampler: String,
     /// Where the answers came from: `"cache"` when every solve in the run
-    /// was an exact cache hit (no sampling anywhere), `"solver"`
-    /// otherwise (additive in schema v5).
+    /// was an exact cache hit (no sampling anywhere), `"presolve"` when
+    /// presolve answered every solve, `"solver"` otherwise (additive in
+    /// schema v5; `"absint"` since v6, `"portfolio:<member>"` since v9,
+    /// `"presolve"` since v10).
     pub served_from: String,
     /// End-to-end wall-clock for the run, microseconds.
     pub elapsed_us: u64,
@@ -804,9 +814,12 @@ impl RunReport {
     /// object consumed by the `qsmt history` run store; v9 adds the
     /// additive `portfolio` section on `SolveReport` (routed plan,
     /// per-member outcome/elapsed, winner) and the
-    /// `"portfolio:<member>"` value for `served_from`. Earlier readers
-    /// keep working because no existing field changed.
-    pub const SCHEMA_VERSION: u32 = 9;
+    /// `"portfolio:<member>"` value for `served_from`; v10 adds the
+    /// `"presolve"` value for `sampling.sampler` and `served_from` (a
+    /// solo solve presolve answered runs the stages `compile`, `lint`,
+    /// `presolve`, `select` only). Earlier readers keep working because
+    /// no existing field changed.
+    pub const SCHEMA_VERSION: u32 = 10;
 
     /// Serializes as a JSON object.
     pub fn to_json(&self) -> Json {
@@ -1433,5 +1446,17 @@ mod tests {
         assert!(text.contains("sampling: 64 reads"));
         assert!(text.contains("accepted (40.0%)"));
         assert!(text.contains("embedding: 3 → 4 qubits"));
+        assert!(!text.contains("no sampler call"), "{text}");
+    }
+
+    #[test]
+    fn render_stats_marks_presolve_answers() {
+        let mut r = sample_report();
+        r.sampling.sampler = "presolve".into();
+        let text = r.render_stats();
+        assert!(
+            text.contains("— answered by the lifted state, no sampler call"),
+            "{text}"
+        );
     }
 }

@@ -570,7 +570,7 @@ impl Service {
     /// The actual solve: parse, run the abstract-interpretation pass
     /// and then the reported pipeline — portfolio racing when the job
     /// asked for it — with the job's seed/reads, the cancellation flag,
-    /// and the shared solve cache, and produce a schema-v9 [`RunReport`]
+    /// and the shared solve cache, and produce a schema-v10 [`RunReport`]
     /// document carrying the job's trace id.
     fn solve_script(&self, job: &Job, stop: &StopFlag) -> Result<Json, String> {
         let script = Script::parse(&job.source).map_err(|e| e.to_string())?;
@@ -855,6 +855,9 @@ mod tests {
     }
 
     const TINY: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (= x (str.rev \"ab\")))\n(check-sat)\n(get-model)\n";
+    /// A two-character palindrome: presolve fixes none of its 14
+    /// variables, so the job anneals.
+    const PALINDROME: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (= x (str.rev x)))\n(assert (= (str.len x) 2))\n(check-sat)\n(get-model)\n";
 
     #[test]
     fn submit_solve_and_report_round_trip() {
@@ -863,7 +866,7 @@ mod tests {
             ..ServeConfig::default()
         }));
         let SubmitOutcome::Accepted { id, trace_id } =
-            svc.submit(&request("POST", "/solve?seed=7&reads=8", TINY))
+            svc.submit(&request("POST", "/solve?seed=7&reads=8", PALINDROME))
         else {
             panic!("submission should be accepted");
         };

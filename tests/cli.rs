@@ -57,11 +57,12 @@ fn exact_sampler_solves_small_goals_and_rejects_large_ones_gracefully() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("6"), "indexof answer: {stdout}");
 
-    // 35 string bits: beyond the limit — a clean error, not a crash.
+    // 42 string bits that presolve leaves open: beyond the limit — a
+    // clean error, not a crash.
     let out = qsmt()
         .args([
             "solve",
-            &corpus("table1_row1_reverse_replace.smt2"),
+            &corpus("table1_row2_palindrome.smt2"),
             "--sampler",
             "exact",
         ])
@@ -119,7 +120,7 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
     let out = qsmt()
         .args([
             "solve",
-            &corpus("table1_row1_reverse_replace.smt2"),
+            &corpus("table1_row2_palindrome.smt2"),
             "--seed",
             "3",
             "--trace",
@@ -173,7 +174,10 @@ fn solve_trace_writes_chrome_json_sharing_the_report_trace_id() {
     // per-stage span_us rollup `qsmt history` consumes.
     let report_text = std::fs::read_to_string(&report_path).expect("report written");
     let report = qsmt::telemetry::parse(&report_text).expect("report is valid JSON");
-    assert_eq!(report.get("schema_version").and_then(Json::as_u64), Some(9));
+    assert_eq!(
+        report.get("schema_version").and_then(Json::as_u64),
+        Some(10)
+    );
     assert_eq!(
         report.get("trace_id").and_then(Json::as_str),
         Some(trace_id.as_str()),

@@ -44,7 +44,7 @@ fn table1_palindrome_report_has_documented_schema() {
     let doc = report_for("table1_row2_palindrome.smt2", &[]);
 
     // Top level.
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(9));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(10));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // No trace entered on the plain CLI path (schema v8): the id is
     // null but the per-stage span_us rollup is always populated.
@@ -380,7 +380,7 @@ fn unsat_report_has_status_and_no_goals() {
 #[test]
 fn no_absint_flag_disables_the_stage_and_keeps_schema_additive() {
     let doc = report_for("table1_row2_palindrome.smt2", &["--no-absint"]);
-    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(9));
+    assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(10));
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("sat"));
     // The key stays present (additive schema) but is null when opted out.
     assert_eq!(doc.get("absint"), Some(&Json::Null));

@@ -11,7 +11,15 @@ use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// A tiny script every sampler solves in milliseconds.
-const SCRIPT: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (= x (str.rev \"ab\")))\n(check-sat)\n(get-model)\n";
+/// A two-character string over `[p-s]` (ASCII `11100xx`): 14 QUBO
+/// variables, of which presolve fixes only the 10 shared high bits, so
+/// every job anneals.
+const SCRIPT: &str = "(set-logic QF_S)\n(declare-const x String)\n(assert (str.in_re x (re.+ (re.range \"p\" \"s\"))))\n(assert (= (str.len x) 2))\n(check-sat)\n(get-model)\n";
+
+/// Whether `answer` is a two-character string over `lo..=hi`.
+fn two_chars_in(answer: &str, lo: char, hi: char) -> bool {
+    answer.len() == 2 && answer.chars().all(|c| (lo..=hi).contains(&c))
+}
 
 struct ServerGuard {
     child: Child,
@@ -202,8 +210,8 @@ fn parallel_clients_land_in_exactly_one_terminal_state() {
             "completed" => {
                 completed += 1;
                 assert!(
-                    body.contains("\"schema_version\": 9"),
-                    "report is not schema v9: {body}"
+                    body.contains("\"schema_version\": 10"),
+                    "report is not schema v10: {body}"
                 );
                 assert_eq!(
                     json_str(&body, "sampler").as_deref(),
@@ -360,9 +368,11 @@ fn repeat_submissions_hit_the_cache_and_near_repeats_warm_start() {
     let mut server = spawn_server(&["--workers", "1"]);
     let addr = server.addr.clone();
 
-    // Same shape as SCRIPT (a 2-char reverse) with different character
-    // targets: different coefficients, identical adjacency structure.
-    let near_script = SCRIPT.replace("\"ab\"", "\"cd\"");
+    // Same shape as SCRIPT (a 2-char class) with a different character
+    // range, `[t-w]` (`11101xx`): different coefficients, identical
+    // adjacency structure.
+    let near_script = SCRIPT.replace("\"p\" \"s\"", "\"t\" \"w\"");
+    assert_ne!(near_script, SCRIPT);
 
     // Cold solve: a cache miss that samples the full schedule and
     // inserts the result.
@@ -377,7 +387,7 @@ fn repeat_submissions_hit_the_cache_and_near_repeats_warm_start() {
     );
     assert_eq!(json_str(&cold_body, "outcome").as_deref(), Some("miss"));
     let cold_answer = json_str(&cold_body, "answer").expect("cold answer");
-    assert_eq!(cold_answer, "ba");
+    assert!(two_chars_in(&cold_answer, 'p', 's'), "{cold_answer:?}");
     let cold_sweeps = json_u64(&cold_body, "sweeps").expect("cold sweep count");
     assert_eq!(cold_sweeps, 384, "cold solves run the full schedule");
     let cold_elapsed = json_u64(&cold_body, "elapsed_us").expect("cold elapsed");
@@ -436,7 +446,8 @@ fn repeat_submissions_hit_the_cache_and_near_repeats_warm_start() {
         json_str(&warm_body, "outcome").as_deref(),
         Some("warm-start")
     );
-    assert_eq!(json_str(&warm_body, "answer").as_deref(), Some("dc"));
+    let warm_answer = json_str(&warm_body, "answer").expect("warm answer");
+    assert!(two_chars_in(&warm_answer, 't', 'w'), "{warm_answer:?}");
     assert_eq!(json_str(&warm_body, "status").as_deref(), Some("completed"));
     let warm_sweeps = json_u64(&warm_body, "warm_sweeps").expect("warm sweep count");
     assert!(
@@ -540,7 +551,7 @@ fn trace_rides_the_job_from_submission_to_run_store() {
     // top-level field — so also check the embedded report's copy).
     let (status, body) = await_terminal(&addr, &id, Duration::from_secs(120));
     assert_eq!(status, "completed", "traced job: {body}");
-    assert!(body.contains("\"schema_version\": 9"), "not v9: {body}");
+    assert!(body.contains("\"schema_version\": 10"), "not v10: {body}");
     assert_eq!(
         json_str(&body, "trace_id").as_deref(),
         Some(trace_id.as_str())
@@ -667,12 +678,12 @@ fn portfolio_job_is_won_by_exact_and_cancels_the_annealer_backstop() {
     assert_eq!(status, "completed", "portfolio job failed: {body}");
 
     // The run is attributed to the member that won the race, and the
-    // schema-v9 report carries the full plan + per-member outcomes.
+    // schema-v10 report carries the full plan + per-member outcomes.
     assert_eq!(
         json_str(&body, "served_from").as_deref(),
         Some("portfolio:exact")
     );
-    assert!(body.contains("\"schema_version\": 9"), "not v9: {body}");
+    assert!(body.contains("\"schema_version\": 10"), "not v10: {body}");
     assert_eq!(json_str(&body, "predicted").as_deref(), Some("exact"));
     assert_eq!(json_str(&body, "winner").as_deref(), Some("exact"));
     assert_eq!(json_str(&body, "status").as_deref(), Some("completed"));
